@@ -63,16 +63,24 @@ std::unique_ptr<Experiment> Experiment::build(const ExperimentConfig& config) {
   exp->baseline_vsms_.resize(q);
   exp->baseline_.resize(q);
 
-  // The six per-front-end chains (train -> decode -> vsm) share no state —
-  // each writes only slot s and all randomness derives from (seed, salt) —
-  // so they run as independent stages.  Every stage product is pulled from
-  // the artifact store when its key matches (see core/stage_cache.h for the
-  // invalidation chain).
+  // Three phases, each pulling its stage products from the artifact store
+  // when the key matches (see core/stage_cache.h for the invalidation
+  // chain):
+  //   1. every front end, trained or loaded, with its supervectors looked up;
+  //   2. one utterance-major decode of vsm_train/dev/test for the front ends
+  //      whose supervectors missed, computing each distinct feature config
+  //      once per utterance;
+  //   3. the baseline VSMs.
+  // Phases 1 and 3 run their per-front-end stages concurrently; each writes
+  // only slot s and all randomness derives from (seed, salt).
   const pipeline::StageKey corpus_key =
       corpus_stage_key(config.corpus, config.scale, config.seed);
+  std::vector<pipeline::StageKey> sv_keys(q);
+  std::vector<DecodedSupervectors> decoded(q);
+  std::vector<char> decoded_hit(q, 0);  // not vector<bool>: written in parallel
   pipeline::StageRunner runner;
   for (std::size_t s = 0; s < q; ++s) {
-    runner.add("subsystem/" + config.frontends[s].name, [&, s] {
+    runner.add("frontend/" + config.frontends[s].name, [&, s] {
       FrontEndSpec spec = config.frontends[s];
       // The 1-best ablation flows through the supervector builder config.
       spec.use_lattice_counts = config.use_lattice_counts;
@@ -87,28 +95,55 @@ std::unique_ptr<Experiment> Experiment::build(const ExperimentConfig& config) {
       auto sub = Subsystem::assemble(corpus, spec, std::move(fe));
       sub->set_batch_chunk_samples(config.batch_chunk_samples);
 
-      const pipeline::StageKey sv_key = supervectors_stage_key(fe_key);
-      DecodedSupervectors ds = store.get_or_compute<DecodedSupervectors>(
-          sv_key,
-          [](std::istream& in) { return DecodedSupervectors::deserialize(in); },
-          [](std::ostream& out, const DecodedSupervectors& v) {
-            v.serialize(out);
-          },
-          [&] { return sub->decode_splits(corpus); });
-      sub->set_tfllr(ds.tfllr);
+      sv_keys[s] = supervectors_stage_key(fe_key);
+      if (store.enabled()) {
+        decoded_hit[s] = store.load(sv_keys[s], [&](std::istream& in) {
+          decoded[s] = DecodedSupervectors::deserialize(in);
+        });
+      }
+      exp->subsystems_[s] = std::move(sub);
+    });
+  }
+  runner.run_all();
+
+  std::vector<Subsystem*> missed;
+  std::vector<std::size_t> missed_index;
+  for (std::size_t s = 0; s < q; ++s) {
+    if (decoded_hit[s] == 0) {
+      missed.push_back(exp->subsystems_[s].get());
+      missed_index.push_back(s);
+    }
+  }
+  if (!missed.empty()) {
+    std::vector<DecodedSupervectors> fresh =
+        decode_splits(missed, corpus, config.batch_chunk_samples);
+    util::parallel_for(0, missed.size(), [&](std::size_t j) {
+      const std::size_t s = missed_index[j];
+      decoded[s] = std::move(fresh[j]);
+      store.save(sv_keys[s], [&](std::ostream& out) {
+        decoded[s].serialize(out);
+      });
+    });
+  }
+
+  for (std::size_t s = 0; s < q; ++s) {
+    runner.add("vsm/" + config.frontends[s].name, [&, s] {
+      Subsystem& sub = *exp->subsystems_[s];
+      DecodedSupervectors& ds = decoded[s];
+      sub.set_tfllr(ds.tfllr);
 
       // Baseline VSM (paper step (b)) and score matrices (Eq. 8-9).
       svm::VsmTrainConfig vsm_cfg = config.vsm;
       vsm_cfg.seed = util::derive_stream(config.seed, 0xF000 + s);
       const pipeline::StageKey vsm_key =
-          vsm_stage_key(sv_key, vsm_cfg, vsm_cfg.seed, k);
+          vsm_stage_key(sv_keys[s], vsm_cfg, vsm_cfg.seed, k);
       svm::VsmModel vsm = store.get_or_compute<svm::VsmModel>(
           vsm_key,
           [](std::istream& in) { return svm::VsmModel::deserialize(in); },
           [](std::ostream& out, const svm::VsmModel& v) { v.serialize(out); },
           [&] {
             return svm::VsmModel::train(ds.train, exp->train_labels_, k,
-                                        sub->supervector_dim(), vsm_cfg);
+                                        sub.supervector_dim(), vsm_cfg);
           });
 
       exp->baseline_[s].dev = vsm.score_all(ds.dev);
@@ -117,8 +152,7 @@ std::unique_ptr<Experiment> Experiment::build(const ExperimentConfig& config) {
       exp->dev_svs_[s] = std::move(ds.dev);
       exp->test_svs_[s] = std::move(ds.test);
       exp->baseline_vsms_[s] = std::move(vsm);
-      exp->subsystems_[s] = std::move(sub);
-      PHONOLID_INFO("core") << "baseline VSM ready for " << spec.name;
+      PHONOLID_INFO("core") << "baseline VSM ready for " << sub.name();
     });
   }
   runner.run_all();

@@ -106,8 +106,11 @@ class Experiment {
   /// $PHONOLID_CACHE) each front-end's train / decode / VSM stage is pulled
   /// from the store when its key matches, so a warm run skips straight to
   /// scoring — bit-identical to the cold run by construction (the artifacts
-  /// *are* the cold run's products).  The six front-end stage chains run
-  /// concurrently on the thread pool (pipeline::StageRunner).
+  /// *are* the cold run's products).  Front ends are trained or loaded
+  /// concurrently (pipeline::StageRunner), then every front end whose
+  /// supervectors missed is decoded in one utterance-major pass that
+  /// computes each distinct feature config once per utterance
+  /// (core::decode_splits), then the baseline VSMs train concurrently.
   static std::unique_ptr<Experiment> build(const ExperimentConfig& config);
 
   /// Artifact-store root this experiment resolved ("" = uncached run).

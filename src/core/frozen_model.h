@@ -14,7 +14,8 @@
 // `phonolid freeze` writes one from a trained experiment; `phonolid serve`
 // (src/serve/) loads one and scores PCM with no Experiment or corpus in
 // sight.  score_batch() reproduces the offline evaluate() chain bit for bit:
-// per-utterance streaming supervectors (batch == one-chunk session), per-head
+// per-utterance supervectors from the same shared feature pass + per-front-end
+// tail as the offline decode (FeatureGroups, built once at load), per-head
 // VSM scores, Matrix-overload fusion apply, per-row LLR calibration — every
 // step is row-independent, so any batching of requests yields the same bytes
 // as `phonolid run` (the tier1 serve gate cmp's them).
@@ -106,6 +107,9 @@ class FrozenModel {
   double sample_rate_ = 0.0;
   std::vector<std::string> languages_;
   std::vector<std::unique_ptr<Subsystem>> subsystems_;
+  /// subsystems_ grouped by feature config (borrows them; the unique_ptrs
+  /// keep every Subsystem at one address across moves of this model).
+  FeatureGroups groups_;
   std::vector<FrozenHead> heads_;
   backend::ScoreFusion fusion_;
 };

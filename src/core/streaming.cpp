@@ -5,8 +5,6 @@
 
 #include "core/subsystem.h"
 #include "obs/energy.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "phonotactic/ngram_counts.h"
 
@@ -48,36 +46,6 @@ void StreamingSession::push(std::span<const float> samples) {
   maybe_checkpoint();
 }
 
-decoder::Lattice StreamingSession::decode_chunked(
-    const util::Matrix& feats) const {
-  const std::size_t frames = feats.rows();
-  std::size_t chunk = frames;
-  if (options_.chunk_samples > 0) {
-    const auto& fcfg = subsystem_->features_->config();
-    const std::size_t shift = (fcfg.kind == dsp::FeatureKind::kMfcc)
-                                  ? fcfg.mfcc.frame_shift
-                                  : fcfg.plp.frame_shift;
-    chunk = std::max<std::size_t>(1, options_.chunk_samples / shift);
-  }
-  decoder::DecodeSession session(*subsystem_->decoder_);
-  util::Matrix scores;
-  for (std::size_t begin = 0; begin < frames; begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, frames);
-    subsystem_->model_->score_range(feats, begin, end, scores);
-    session.advance(scores);
-  }
-  return session.finalize();
-}
-
-phonotactic::SparseVec StreamingSession::supervector_of(
-    const phonotactic::SparseVec& counts) const {
-  phonotactic::SparseVec sv = subsystem_->builder_->build_from_counts(counts);
-  if (options_.apply_tfllr && subsystem_->spec_.use_tfllr) {
-    subsystem_->tfllr_.transform(sv);
-  }
-  return sv;
-}
-
 void StreamingSession::maybe_checkpoint() {
   if (options_.checkpoint_interval_s <= 0.0) return;
   const double audio_s = audio_seconds();
@@ -98,10 +66,12 @@ void StreamingSession::maybe_checkpoint() {
     util::Matrix feats = features_.prefix(cp.frames);
     const auto& fcfg = subsystem_->features_->config();
     if (fcfg.cmvn) dsp::cmvn_inplace(feats, fcfg.cmvn_variance);
-    const decoder::Lattice lattice = decode_chunked(feats);
+    const decoder::Lattice lattice =
+        subsystem_->decode_features(feats, options_.chunk_samples);
     phonotactic::CountAccumulator acc;
     acc.add(subsystem_->builder_->counts(lattice));
-    cp.llr = options_.scorer(supervector_of(acc.build()));
+    cp.llr = options_.scorer(
+        subsystem_->supervector_of(acc.build(), options_.apply_tfllr));
     if (!cp.llr.empty()) {
       cp.best_language = static_cast<std::size_t>(
           std::max_element(cp.llr.begin(), cp.llr.end()) - cp.llr.begin());
@@ -115,8 +85,6 @@ StreamingResult StreamingSession::finalize() {
     throw std::logic_error("StreamingSession: finalize() called twice");
   }
   finalized_ = true;
-  StreamingResult res;
-  res.audio_s = audio_seconds();
 
   obs::Span feature_span("features");
   features_.finish();
@@ -125,34 +93,10 @@ StreamingResult StreamingSession::finalize() {
   const auto& fcfg = subsystem_->features_->config();
   if (fcfg.cmvn) dsp::cmvn_inplace(feats, fcfg.cmvn_variance);
   const double feat_s = feature_s_ + feature_span.stop();
-  res.frames = feats.rows();
 
-  obs::Span decode_span("decode");
-  res.lattice = decode_chunked(feats);
-  const double dec_s = decode_span.stop();
-  if (dec_s > 0.0 && feats.rows() > 0) {
-    const double flops = subsystem_->model_->score_flops_per_frame() *
-                         static_cast<double>(feats.rows());
-    if (flops > 0.0) {
-      PHONOLID_COUNTER_SAMPLE("decode.gflops", flops / dec_s / 1e9);
-    }
-  }
-
-  obs::Span sv_span("supervector");
-  phonotactic::CountAccumulator acc;
-  acc.add(subsystem_->builder_->counts(res.lattice));
-  res.counts = acc.build();
-  res.supervector = supervector_of(res.counts);
-  const double sv_s = sv_span.stop();
-
+  StreamingResult res = subsystem_->score_features(
+      feats, features_.samples_pushed(), feat_s, options_);
   res.checkpoints = std::move(checkpoints_);
-  {
-    std::lock_guard lock(subsystem_->times_mutex_);
-    subsystem_->times_.feature_s += feat_s;
-    subsystem_->times_.decode_s += dec_s;
-    subsystem_->times_.supervector_s += sv_s;
-    subsystem_->times_.audio_s += res.audio_s;
-  }
   return res;
 }
 

@@ -111,13 +111,6 @@ class StreamingSession {
 
   void charge_new_rows();
   void maybe_checkpoint();
-  /// CMVN (on a copy for checkpoints, in place at finalize) + chunked
-  /// score/decode of `feats`.
-  [[nodiscard]] decoder::Lattice decode_chunked(const util::Matrix& feats) const;
-  /// counts -> normalised supervector -> TFLLR, shared by checkpoints and
-  /// finalize().
-  [[nodiscard]] phonotactic::SparseVec supervector_of(
-      const phonotactic::SparseVec& counts) const;
 
   const Subsystem* subsystem_;
   StreamingOptions options_;

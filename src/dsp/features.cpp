@@ -2,6 +2,7 @@
 
 #include "dsp/streaming_features.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -117,9 +118,17 @@ double FeaturePipeline::flops_per_frame() const noexcept {
 }
 
 util::Matrix FeaturePipeline::process(std::span<const float> signal) const {
+  return process(signal, 0);
+}
+
+util::Matrix FeaturePipeline::process(std::span<const float> signal,
+                                      std::size_t chunk_samples) const {
   // One code path with the streaming front end: batch is a single chunk.
   StreamingFeatures stream(*this);
-  stream.push(signal);
+  const std::size_t step = chunk_samples == 0 ? signal.size() : chunk_samples;
+  for (std::size_t i = 0; i < signal.size(); i += step) {
+    stream.push(signal.subspan(i, std::min(step, signal.size() - i)));
+  }
   stream.finish();
   util::Matrix feats = stream.take();
   if (config_.cmvn) cmvn_inplace(feats, config_.cmvn_variance);

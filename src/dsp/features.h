@@ -34,6 +34,10 @@ struct FeaturePipelineConfig {
   std::size_t delta_window = 2;
   bool cmvn = true;
   bool cmvn_variance = true;
+
+  /// Equal configs produce bit-identical features, so front ends whose
+  /// configs compare equal can share one feature pass per utterance.
+  bool operator==(const FeaturePipelineConfig&) const = default;
 };
 
 /// Raw signal -> normalised feature matrix (frames x dim).
@@ -57,6 +61,11 @@ class FeaturePipeline {
   /// Batch entry point: a single-chunk pass through the streaming extractor
   /// (dsp::StreamingFeatures) followed by per-utterance CMVN.
   [[nodiscard]] util::Matrix process(std::span<const float> signal) const;
+
+  /// The same pass with the signal pushed in `chunk_samples`-sized pieces
+  /// (0 = one push).  Bit-identical to process(signal) for any chunking.
+  [[nodiscard]] util::Matrix process(std::span<const float> signal,
+                                     std::size_t chunk_samples) const;
 
  private:
   FeaturePipelineConfig config_;

@@ -27,6 +27,8 @@ struct MfccConfig {
   float pre_emph = 0.97f;
   WindowType window = WindowType::kHamming;
   float log_floor = 1e-10f;
+
+  bool operator==(const MfccConfig&) const = default;
 };
 
 class MfccExtractor {

@@ -43,6 +43,8 @@ struct PlpConfig {
   float pre_emph = 0.97f;
   WindowType window = WindowType::kHamming;
   double compress_power = 1.0 / 3.0;  // intensity-loudness law
+
+  bool operator==(const PlpConfig&) const = default;
 };
 
 class PlpExtractor {

@@ -110,7 +110,8 @@ bool write_all(int fd, const void* buf, std::size_t n);
 /// throws util::SerializeError on an oversized length prefix or a body
 /// truncated mid-frame.
 bool read_frame(int fd, std::string& body);
-/// Write one length-prefixed frame; false when the peer is gone.
+/// Write one length-prefixed frame, prefix and body in one sendmsg (looping
+/// on partial writes); false when the peer is gone.
 bool write_frame(int fd, const std::string& body);
 
 }  // namespace phonolid::serve

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -151,6 +152,20 @@ double stat_at(const obs::Json& stats,
   return node->as_double();
 }
 
+/// The daemon records a request's phases right after sending its reply, so a
+/// stats read issued the moment the reply lands can miss the last request's
+/// phases.  Re-read until `requests` requests have all four phases recorded.
+obs::Json stats_after_phases(Client& c, double requests) {
+  obs::Json stats = obs::Json::parse(c.stats().text);
+  for (int i = 0; i < 400 && stat_at(stats, {"phases", "write_ms", "count"}) <
+                                 requests;
+       ++i) {
+    std::this_thread::sleep_for(5ms);
+    stats = obs::Json::parse(c.stats().text);
+  }
+  return stats;
+}
+
 TEST_F(ServeTest, BundleRoundTripScoresBitIdentical) {
   const fs::path dir = fs::path(::testing::TempDir()) / "serve_bundle_rt";
   fs::remove_all(dir);
@@ -209,6 +224,25 @@ TEST_F(ServeTest, PingEchoesAndStatsParse) {
   EXPECT_EQ(stat_at(stats, {"model", "languages"}), 2.0);
   // The ping and this stats call are both counted.
   EXPECT_GE(stat_at(stats, {"requests"}), 2.0);
+}
+
+TEST_F(ServeTest, SequentialPingsRoundTripWithoutNagleStalls) {
+  // A frame sent as two writes (length prefix, then body) leaves the body
+  // queued behind Nagle until the peer's delayed ACK, about 40 ms a frame on
+  // loopback.  One write per frame makes a ping round trip sub-millisecond.
+  TestServer ts(*model_);
+  Client c = connect_to(ts);
+  std::vector<double> round_trip_ms;
+  for (int i = 0; i < 30; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(c.ping().status, Status::kOk);
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+  }
+  std::nth_element(round_trip_ms.begin(), round_trip_ms.begin() + 15,
+                   round_trip_ms.end());
+  EXPECT_LT(round_trip_ms[15], 10.0);
 }
 
 TEST_F(ServeTest, MicroBatchingCoalescesConcurrentRequests) {
@@ -565,7 +599,7 @@ TEST_F(ServeTest, StatsCarryPhasesUptimeAndSlowLog) {
     ASSERT_EQ(c.score(test_utt(0)).status, Status::kOk);
   }
 
-  const obs::Json stats = obs::Json::parse(c.stats().text);
+  const obs::Json stats = stats_after_phases(c, kScores);
   EXPECT_GE(stat_at(stats, {"uptime_s"}), 0.0);
   EXPECT_EQ(stat_at(stats, {"requests_total"}), stat_at(stats, {"requests"}));
   // Every scored request passed through all four phases exactly once.
@@ -739,7 +773,7 @@ TEST_F(ServeTest, AdminStatuszAgreesWithStatsFrame) {
   TestServer ts(*model_, cfg);
   Client c = connect_to(ts);
   ASSERT_EQ(c.score(test_utt(0)).status, Status::kOk);
-  const obs::Json frame_stats = obs::Json::parse(c.stats().text);
+  const obs::Json frame_stats = stats_after_phases(c, 1);
 
   // No PLSV traffic between the kStats frame and the scrape, so the two
   // views of requests_total must agree exactly.
