@@ -1,9 +1,11 @@
 #include "dsp/fft.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 
 namespace phonolid::dsp {
 
@@ -24,37 +26,60 @@ Fft::Fft(std::size_t n) : n_(n) {
   }
   // Twiddles for each butterfly span: W_m^j = exp(-2*pi*i*j/m), packed by
   // stage (m = 2, 4, ..., n) contiguously: total n-1 entries.
-  twiddle_.reserve(n - 1);
+  twiddle_re_.reserve(n - 1);
+  twiddle_im_.reserve(n - 1);
   for (std::size_t m = 2; m <= n; m <<= 1) {
     for (std::size_t j = 0; j < m / 2; ++j) {
       const double angle = -2.0 * std::numbers::pi * static_cast<double>(j) /
                            static_cast<double>(m);
-      twiddle_.emplace_back(static_cast<float>(std::cos(angle)),
-                            static_cast<float>(std::sin(angle)));
+      twiddle_re_.push_back(static_cast<float>(std::cos(angle)));
+      twiddle_im_.push_back(static_cast<float>(std::sin(angle)));
     }
+  }
+}
+
+void Fft::transform(float* re, float* im) const {
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t j = bitrev_[i];
+    if (i < j) {
+      std::swap(re[i], re[j]);
+      std::swap(im[i], im[j]);
+    }
+  }
+  std::size_t tw_base = 0;
+  for (std::size_t m = 2; m <= n_; m <<= 1) {
+    const std::size_t half = m / 2;
+    const float* wr = twiddle_re_.data() + tw_base;
+    const float* wi = twiddle_im_.data() + tw_base;
+    for (std::size_t k = 0; k < n_; k += m) {
+      float* ur = re + k;
+      float* ui = im + k;
+      float* xr = ur + half;
+      float* xi = ui + half;
+      for (std::size_t j = 0; j < half; ++j) {
+        const float tr = wr[j] * xr[j] - wi[j] * xi[j];
+        const float ti = wr[j] * xi[j] + wi[j] * xr[j];
+        const float a = ur[j];
+        const float b = ui[j];
+        ur[j] = a + tr;
+        ui[j] = b + ti;
+        xr[j] = a - tr;
+        xi[j] = b - ti;
+      }
+    }
+    tw_base += half;
   }
 }
 
 void Fft::forward(std::span<std::complex<float>> data) const {
   assert(data.size() == n_);
+  std::vector<float> re(n_), im(n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(data[i], data[j]);
+    re[i] = data[i].real();
+    im[i] = data[i].imag();
   }
-  std::size_t tw_base = 0;
-  for (std::size_t m = 2; m <= n_; m <<= 1) {
-    const std::size_t half = m / 2;
-    for (std::size_t k = 0; k < n_; k += m) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const auto w = twiddle_[tw_base + j];
-        const auto t = w * data[k + j + half];
-        const auto u = data[k + j];
-        data[k + j] = u + t;
-        data[k + j + half] = u - t;
-      }
-    }
-    tw_base += half;
-  }
+  transform(re.data(), im.data());
+  for (std::size_t i = 0; i < n_; ++i) data[i] = {re[i], im[i]};
 }
 
 void Fft::inverse(std::span<std::complex<float>> data) const {
@@ -66,13 +91,16 @@ void Fft::inverse(std::span<std::complex<float>> data) const {
 }
 
 void Fft::power_spectrum(std::span<const float> in, std::span<float> out,
-                         std::vector<std::complex<float>>& scratch) const {
+                         std::vector<float>& scratch) const {
   assert(in.size() == n_ && out.size() == n_ / 2 + 1);
-  scratch.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) scratch[i] = {in[i], 0.0f};
-  forward(scratch);
+  scratch.resize(2 * n_);
+  float* re = scratch.data();
+  float* im = re + n_;
+  std::copy(in.begin(), in.end(), re);
+  std::fill(im, im + n_, 0.0f);
+  transform(re, im);
   for (std::size_t k = 0; k <= n_ / 2; ++k) {
-    out[k] = std::norm(scratch[k]);
+    out[k] = re[k] * re[k] + im[k] * im[k];
   }
 }
 

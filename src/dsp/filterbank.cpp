@@ -66,6 +66,18 @@ Filterbank::Filterbank(std::size_t num_filters, std::size_t num_bins,
       weights_[f * num_bins + b] = static_cast<float>(w);
     }
   }
+
+  band_begin_.assign(num_filters, 0);
+  band_end_.assign(num_filters, 0);
+  for (std::size_t f = 0; f < num_filters; ++f) {
+    const float* w = &weights_[f * num_bins];
+    std::size_t begin = 0;
+    while (begin < num_bins && w[begin] == 0.0f) ++begin;
+    std::size_t end = num_bins;
+    while (end > begin && w[end - 1] == 0.0f) --end;
+    band_begin_[f] = begin;
+    band_end_[f] = end;
+  }
 }
 
 void Filterbank::apply(std::span<const float> power, std::span<float> out) const {
@@ -73,7 +85,9 @@ void Filterbank::apply(std::span<const float> power, std::span<float> out) const
   for (std::size_t f = 0; f < num_filters_; ++f) {
     const float* w = &weights_[f * num_bins_];
     float acc = 0.0f;
-    for (std::size_t b = 0; b < num_bins_; ++b) acc += w[b] * power[b];
+    for (std::size_t b = band_begin_[f]; b < band_end_[f]; ++b) {
+      acc += w[b] * power[b];
+    }
     out[f] = acc;
   }
 }

@@ -26,7 +26,10 @@ class Filterbank {
   [[nodiscard]] std::size_t num_filters() const noexcept { return num_filters_; }
   [[nodiscard]] std::size_t num_bins() const noexcept { return num_bins_; }
 
-  /// out[f] = sum_b weight[f][b] * power[b]
+  /// out[f] = sum_b weight[f][b] * power[b], summed in bin order over the
+  /// bins where filter f is nonzero.  For a non-negative `power` (a power
+  /// spectrum) the skipped terms are +0 added to a non-negative sum, so the
+  /// result is bit-identical to the dense sum over every bin.
   void apply(std::span<const float> power, std::span<float> out) const;
 
   /// Filter weights for bin inspection / tests.
@@ -35,8 +38,11 @@ class Filterbank {
  private:
   std::size_t num_filters_;
   std::size_t num_bins_;
-  // Dense (filters are narrow, but simplicity wins at these sizes).
   std::vector<float> weights_;  // num_filters x num_bins
+  // Filter f is zero outside bins [band_begin_[f], band_end_[f]); the range
+  // is empty for a filter narrower than a bin.
+  std::vector<std::size_t> band_begin_;
+  std::vector<std::size_t> band_end_;
 };
 
 /// Orthonormal DCT-II: c[k] = sqrt(2/N) * sum_n x[n] cos(pi k (2n+1) / 2N),

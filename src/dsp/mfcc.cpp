@@ -25,7 +25,7 @@ MfccExtractor::Workspace MfccExtractor::make_workspace() const {
   ws.frame.assign(config_.n_fft, 0.0f);
   ws.power.resize(config_.n_fft / 2 + 1);
   ws.fbank.resize(config_.num_filters);
-  ws.fft.resize(config_.n_fft);
+  ws.fft.resize(2 * config_.n_fft);
   return ws;
 }
 

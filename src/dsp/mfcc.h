@@ -2,7 +2,6 @@
 // diversifies the parallel phone recognizers).
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -41,7 +40,7 @@ class MfccExtractor {
     std::vector<float> frame;                 // n_fft, zero-padded
     std::vector<float> power;                 // n_fft/2 + 1
     std::vector<float> fbank;                 // num_filters
-    std::vector<std::complex<float>> fft;     // n_fft transform scratch
+    std::vector<float> fft;                   // 2 * n_fft: split re/im FFT
   };
 
   explicit MfccExtractor(const MfccConfig& config = {});

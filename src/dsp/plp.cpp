@@ -83,6 +83,18 @@ PlpExtractor::PlpExtractor(const PlpConfig& config)
                       ((w2 + 1.44e6) / (w2 + 9.61e6));
     equal_loudness_[f] = el;
   }
+  // The autocorrelation's inverse DFT treats the bands as samples of an
+  // even spectrum at angles pi*(f+0.5)/nb; the cosines depend only on the
+  // config, so they are computed here rather than once per frame.
+  const std::size_t nb = config.num_filters;
+  idft_cos_.resize((config.lpc_order + 1) * nb);
+  for (std::size_t lag = 0; lag <= config.lpc_order; ++lag) {
+    for (std::size_t f = 0; f < nb; ++f) {
+      const double angle = std::numbers::pi * (static_cast<double>(f) + 0.5) *
+                           static_cast<double>(lag) / static_cast<double>(nb);
+      idft_cos_[lag * nb + f] = std::cos(angle);
+    }
+  }
 }
 
 PlpExtractor::Workspace PlpExtractor::make_workspace() const {
@@ -90,7 +102,7 @@ PlpExtractor::Workspace PlpExtractor::make_workspace() const {
   ws.frame.assign(config_.n_fft, 0.0f);
   ws.power.resize(config_.n_fft / 2 + 1);
   ws.bands.resize(config_.num_filters);
-  ws.fft.resize(config_.n_fft);
+  ws.fft.resize(2 * config_.n_fft);
   ws.loud.resize(config_.num_filters);
   ws.autocorr.resize(config_.lpc_order + 1);
   ws.lpc.resize(config_.lpc_order);
@@ -115,15 +127,11 @@ void PlpExtractor::extract_frame(std::span<const float> samples, Workspace& ws,
     ws.loud[f] = compressed;
   }
   // Inverse DFT of the (symmetric) loudness spectrum gives autocorrelation
-  // of the perceptually warped signal.  Treat bands as samples of an even
-  // spectrum at angles pi*(f+0.5)/nb.
+  // of the perceptually warped signal.
   for (std::size_t lag = 0; lag <= config_.lpc_order; ++lag) {
+    const double* cosines = &idft_cos_[lag * nb];
     double acc = 0.0;
-    for (std::size_t f = 0; f < nb; ++f) {
-      const double angle = std::numbers::pi * (static_cast<double>(f) + 0.5) *
-                           static_cast<double>(lag) / static_cast<double>(nb);
-      acc += ws.loud[f] * std::cos(angle);
-    }
+    for (std::size_t f = 0; f < nb; ++f) acc += ws.loud[f] * cosines[f];
     ws.autocorr[lag] = acc / static_cast<double>(nb);
   }
   if (ws.autocorr[0] <= 0.0) ws.autocorr[0] = 1e-10;

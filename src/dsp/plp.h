@@ -7,7 +7,6 @@
 // PLP plus deltas feeding the DNN front-end).
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -55,7 +54,7 @@ class PlpExtractor {
     std::vector<float> frame;                 // n_fft, zero-padded
     std::vector<float> power;                 // n_fft/2 + 1
     std::vector<float> bands;                 // num_filters
-    std::vector<std::complex<float>> fft;     // n_fft transform scratch
+    std::vector<float> fft;                   // 2 * n_fft: split re/im FFT
     std::vector<double> loud;                 // num_filters
     std::vector<double> autocorr;             // lpc_order + 1
     std::vector<double> lpc;                  // lpc_order
@@ -83,6 +82,9 @@ class PlpExtractor {
   Fft fft_;
   Filterbank filterbank_;
   std::vector<double> equal_loudness_;  // per critical band
+  // Inverse-DFT cosines, (lpc_order + 1) x num_filters: row `lag` holds
+  // cos(pi * (f + 0.5) * lag / num_filters).
+  std::vector<double> idft_cos_;
 };
 
 }  // namespace phonolid::dsp

@@ -19,7 +19,8 @@
 // log entries and flight-recorder spans.
 //
 // Request payloads by type: kScore carries an f32 PCM vector (at the
-// bundle's sample rate); kSwap a bundle directory string; kPing / kStats
+// bundle's sample rate; non-empty, every sample finite and within
+// ±kMaxPcmMagnitude); kSwap a bundle directory string; kPing / kStats
 // nothing.  Responses reuse one layout for every type — llr/best are empty
 // except for a successful kScore, text carries the stats JSON (kStats) or a
 // human-readable error.
@@ -44,6 +45,12 @@ inline constexpr std::uint32_t kMinServeProtocolVersion = 1;
 /// Upper bound on one frame body; a length prefix beyond this is corruption
 /// (64 MB ≈ 35 minutes of f32 PCM at 8 kHz — far past any utterance).
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
+/// Largest |sample| a kScore payload may carry: 2^31, the int32 full scale.
+/// A non-finite sample, or one far past any PCM full scale, overflows the
+/// float power spectrum, and the features (and so the LLRs) it yields mean
+/// nothing; the daemon answers kBadRequest instead of scoring it.
+inline constexpr float kMaxPcmMagnitude = 2147483648.0f;
 
 enum class FrameType : std::uint32_t {
   kScore = 1,

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -482,6 +483,17 @@ void ScoreServer::handle_request(const std::shared_ptr<Connection>& conn,
   if (request.samples.empty()) {
     response.status = Status::kBadRequest;
     response.text = "empty PCM payload";
+    respond(conn, std::move(response));
+    return;
+  }
+  const auto bad = std::find_if(
+      request.samples.begin(), request.samples.end(),
+      [](float x) { return !(std::fabs(x) <= kMaxPcmMagnitude); });
+  if (bad != request.samples.end()) {
+    response.status = Status::kBadRequest;
+    response.text = "PCM sample " +
+                    std::to_string(bad - request.samples.begin()) +
+                    " is not finite or exceeds 2^31 in magnitude";
     respond(conn, std::move(response));
     return;
   }

@@ -59,11 +59,12 @@ ThreadPool::~ThreadPool() {
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   PoolMetrics& metrics = pool_metrics();
-  std::packaged_task<void()> pt(std::move(task));
-  auto fut = pt.get_future();
+  std::promise<void> done;
+  auto fut = done.get_future();
   {
     std::lock_guard lock(mutex_);
-    tasks_.push({std::move(pt), std::chrono::steady_clock::now()});
+    tasks_.push(
+        {std::move(task), std::move(done), std::chrono::steady_clock::now()});
   }
   metrics.submitted.add();
   const std::int64_t depth = metrics.queue_depth.add(1);
@@ -82,10 +83,22 @@ void ThreadPool::run_task(QueuedTask& item) {
   const auto start = clock::now();
   metrics.wait_s.observe(
       std::chrono::duration<double>(start - item.enqueued).count());
-  item.task();  // packaged_task captures exceptions into the future
+  std::exception_ptr error;
+  try {
+    item.task();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Record the task as complete before its future becomes ready, so a
+  // caller that returns from get() always sees its task counted.
   metrics.run_s.observe(
       std::chrono::duration<double>(clock::now() - start).count());
   metrics.completed.add();
+  if (error) {
+    item.done.set_exception(error);
+  } else {
+    item.done.set_value();
+  }
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {

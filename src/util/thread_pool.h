@@ -54,7 +54,8 @@ class ThreadPool {
 
  private:
   struct QueuedTask {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
+    std::promise<void> done;
     std::chrono::steady_clock::time_point enqueued;
   };
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -99,7 +102,7 @@ TEST(Fft, ParsevalForPowerSpectrum) {
     time_energy += static_cast<double>(v) * v;
   }
   std::vector<float> power(n / 2 + 1);
-  std::vector<std::complex<float>> scratch;
+  std::vector<float> scratch;
   fft.power_spectrum(x, power, scratch);
   // Reassemble full-spectrum energy from the half spectrum (bins 1..n/2-1
   // appear twice in the full spectrum).
@@ -122,6 +125,140 @@ TEST_P(FftSizeTest, RoundTripAtEverySize) {
   fft.inverse(x);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x[i].real(), orig[i].real(), 1e-4);
+  }
+}
+
+// The interleaved std::complex<float> radix-2 loop the split-array kernel
+// replaced, kept verbatim as the bit-exact reference: same twiddles, same
+// bit reversal, and the products as the compiler emits them for
+// std::complex<float> multiplication.
+class ReferenceFft {
+ public:
+  explicit ReferenceFft(std::size_t n) : n_(n), bitrev_(n) {
+    std::size_t log2n = 0;
+    while ((std::size_t{1} << log2n) < n) ++log2n;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t r = 0;
+      for (std::size_t b = 0; b < log2n; ++b) r = (r << 1) | ((i >> b) & 1u);
+      bitrev_[i] = r;
+    }
+    for (std::size_t m = 2; m <= n; m <<= 1) {
+      for (std::size_t j = 0; j < m / 2; ++j) {
+        const double angle = -2.0 * std::numbers::pi * static_cast<double>(j) /
+                             static_cast<double>(m);
+        twiddle_.emplace_back(static_cast<float>(std::cos(angle)),
+                              static_cast<float>(std::sin(angle)));
+      }
+    }
+  }
+
+  void forward(std::vector<std::complex<float>>& data) const {
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::size_t j = bitrev_[i];
+      if (i < j) std::swap(data[i], data[j]);
+    }
+    std::size_t tw_base = 0;
+    for (std::size_t m = 2; m <= n_; m <<= 1) {
+      const std::size_t half = m / 2;
+      for (std::size_t k = 0; k < n_; k += m) {
+        for (std::size_t j = 0; j < half; ++j) {
+          const auto w = twiddle_[tw_base + j];
+          const auto t = w * data[k + j + half];
+          const auto u = data[k + j];
+          data[k + j] = u + t;
+          data[k + j + half] = u - t;
+        }
+      }
+      tw_base += half;
+    }
+  }
+
+  std::vector<float> power_spectrum(const std::vector<float>& in) const {
+    std::vector<std::complex<float>> x(n_);
+    for (std::size_t i = 0; i < n_; ++i) x[i] = {in[i], 0.0f};
+    forward(x);
+    std::vector<float> out(n_ / 2 + 1);
+    for (std::size_t k = 0; k <= n_ / 2; ++k) out[k] = std::norm(x[k]);
+    return out;
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::size_t> bitrev_;
+  std::vector<std::complex<float>> twiddle_;
+};
+
+::testing::AssertionResult SameBits(std::span<const float> got,
+                                    std::span<const float> want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "size " << got.size() << " vs "
+                                         << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) !=
+        std::bit_cast<std::uint32_t>(want[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// A frame shaped like the feature front ends' input: `used` windowed
+// samples at a seeded scale, zero-padded to n.
+std::vector<float> random_frame(util::Rng& rng, std::size_t n,
+                                std::size_t used) {
+  const double scale = std::pow(10.0, rng.uniform(-4.0, 4.0));
+  std::vector<float> x(n, 0.0f);
+  for (std::size_t i = 0; i < used; ++i) {
+    x[i] = static_cast<float>(scale * rng.gaussian());
+  }
+  return x;
+}
+
+TEST(FftBitIdentity, PowerSpectrumMatchesComplexLoopOnSpeechFrames) {
+  const std::size_t n = 256;
+  const Fft fft(n);
+  const ReferenceFft reference(n);
+  util::Rng rng(20090704);
+  std::vector<float> power(n / 2 + 1);
+  std::vector<float> scratch;
+  for (int frame = 0; frame < 1000; ++frame) {
+    // Mostly 25 ms frames at 8 kHz (200 samples, zero-padded); some full.
+    const std::size_t used = frame % 4 == 0 ? n : 200;
+    const auto x = random_frame(rng, n, used);
+    fft.power_spectrum(x, power, scratch);
+    ASSERT_TRUE(SameBits(power, reference.power_spectrum(x)))
+        << "frame " << frame;
+  }
+}
+
+TEST_P(FftSizeTest, PowerSpectrumAndForwardMatchComplexLoop) {
+  const std::size_t n = GetParam();
+  const Fft fft(n);
+  const ReferenceFft reference(n);
+  util::Rng rng(7 * n + 1);
+  std::vector<float> power(n / 2 + 1);
+  std::vector<float> scratch;
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto x = random_frame(rng, n, n);
+    fft.power_spectrum(x, power, scratch);
+    ASSERT_TRUE(SameBits(power, reference.power_spectrum(x)))
+        << "trial " << trial;
+
+    std::vector<std::complex<float>> got(n);
+    for (auto& v : got) {
+      v = {static_cast<float>(rng.gaussian()),
+           static_cast<float>(rng.gaussian())};
+    }
+    auto want = got;
+    fft.forward(got);
+    reference.forward(want);
+    const std::span<const float> got_floats(
+        reinterpret_cast<const float*>(got.data()), 2 * n);
+    const std::span<const float> want_floats(
+        reinterpret_cast<const float*>(want.data()), 2 * n);
+    ASSERT_TRUE(SameBits(got_floats, want_floats)) << "trial " << trial;
   }
 }
 

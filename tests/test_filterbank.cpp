@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace phonolid::dsp {
 namespace {
@@ -75,6 +80,60 @@ TEST(Filterbank, AppliesAsWeightedSum) {
     float expected = 0.0f;
     for (float v : w) expected += v;
     EXPECT_NEAR(out[f], expected, 1e-4);
+  }
+}
+
+// apply() sums each filter over its nonzero bins only; on a power spectrum
+// (non-negative) that must equal the dense sum over every bin bit for bit.
+void ExpectBandedApplyMatchesDenseSum(const Filterbank& fb,
+                                      std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> power(fb.num_bins());
+  std::vector<float> out(fb.num_filters());
+  for (int trial = 0; trial < 200; ++trial) {
+    const double scale = std::pow(10.0, rng.uniform(-6.0, 6.0));
+    for (auto& p : power) {
+      const double g = rng.gaussian();
+      p = trial % 5 == 0 && rng.uniform() < 0.3
+              ? 0.0f
+              : static_cast<float>(scale * g * g);
+    }
+    fb.apply(power, out);
+    for (std::size_t f = 0; f < fb.num_filters(); ++f) {
+      const auto w = fb.filter(f);
+      float dense = 0.0f;
+      for (std::size_t b = 0; b < fb.num_bins(); ++b) dense += w[b] * power[b];
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out[f]),
+                std::bit_cast<std::uint32_t>(dense))
+          << "trial " << trial << " filter " << f;
+    }
+  }
+}
+
+TEST(Filterbank, BandedApplyMatchesDenseSumForMelAndBark) {
+  // The MFCC and PLP front ends' default banks, and a wider 16 kHz one.
+  ExpectBandedApplyMatchesDenseSum(
+      Filterbank(23, 129, 8000.0, 100.0, 3800.0, FilterbankScale::kMel), 1);
+  ExpectBandedApplyMatchesDenseSum(
+      Filterbank(21, 129, 8000.0, 100.0, 3800.0, FilterbankScale::kBark), 2);
+  ExpectBandedApplyMatchesDenseSum(
+      Filterbank(40, 513, 16000.0, 0.0, 8000.0, FilterbankScale::kMel), 3);
+}
+
+TEST(Filterbank, BandedApplyMatchesDenseSumWithEmptyFilters) {
+  // 40 filters over 17 bins of 250 Hz: the low filters are narrower than a
+  // bin, so some cover no bin centre and have an empty range.
+  for (const auto scale : {FilterbankScale::kMel, FilterbankScale::kBark}) {
+    const Filterbank fb(40, 17, 8000.0, 0.0, 4000.0, scale);
+    std::size_t empty = 0;
+    for (std::size_t f = 0; f < fb.num_filters(); ++f) {
+      const auto w = fb.filter(f);
+      if (std::all_of(w.begin(), w.end(), [](float v) { return v == 0.0f; })) {
+        ++empty;
+      }
+    }
+    ASSERT_GT(empty, 0u);
+    ExpectBandedApplyMatchesDenseSum(fb, 4);
   }
 }
 

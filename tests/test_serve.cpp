@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -495,6 +496,23 @@ TEST_F(ServeTest, EmptyScorePayloadIsBadRequest) {
   EXPECT_EQ(r.status, Status::kBadRequest);
   // The connection itself is fine — only the request was bad.
   EXPECT_EQ(c.ping().status, Status::kOk);
+}
+
+TEST_F(ServeTest, NonFiniteOrOverflowingPcmIsBadRequest) {
+  TestServer ts(*model_);
+  Client c = connect_to(ts);
+  const std::span<const float> utt = test_utt(0);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(), 3e38f}) {
+    std::vector<float> samples(utt.begin(), utt.end());
+    samples[17] = bad;
+    const Response r = c.score(samples);
+    EXPECT_EQ(r.status, Status::kBadRequest) << bad;
+    EXPECT_NE(r.text.find("sample 17 "), std::string::npos) << r.text;
+    // Only the request was bad: the next one on the connection scores.
+    EXPECT_EQ(c.score(utt).status, Status::kOk) << bad;
+  }
 }
 
 // --- malformed-frame robustness -------------------------------------------

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace phonolid::util {
 namespace {
 
@@ -25,6 +27,24 @@ TEST(ThreadPool, PropagatesExceptionThroughFuture) {
   ThreadPool pool(2);
   auto fut = pool.submit([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(fut.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, TaskIsCountedBeforeItsFutureIsReady) {
+  // A caller returning from get() must see its task in tasks_completed,
+  // thrown or not; a count bumped after the future is made ready reads
+  // stale here within a few thousand round trips.
+  obs::Counter& completed = obs::Metrics::counter("threadpool.tasks_completed");
+  ThreadPool pool(2);
+  const std::uint64_t base = completed.value();
+  for (std::uint64_t i = 1; i <= 20000; ++i) {
+    auto fut = i % 100 == 0 ? pool.submit([] { throw std::runtime_error("x"); })
+                            : pool.submit([] {});
+    try {
+      fut.get();
+    } catch (const std::runtime_error&) {
+    }
+    ASSERT_EQ(completed.value() - base, i) << "round trip " << i;
+  }
 }
 
 TEST(ThreadPool, SizeRespected) {
