@@ -1,9 +1,6 @@
 // bench_serve — closed-loop load generator for the `phonolid serve` daemon.
-//
-//   bench_serve --port N [--host 127.0.0.1] [--scale quick] [--seed S]
-//               [--connections 8] [--repeat 1] [--ledger offline.jsonl]
-//               [--expected-llr f.txt] [--llr-out f.txt] [--report out.json]
-//               [--min-batch-p50 X]
+// Its flags are the kFlags table below; run it without --port for the
+// usage text.
 //
 // Regenerates the pooled test set of the given scale/seed (the same corpus
 // the daemon's bundle was frozen from), opens `--connections` closed-loop
@@ -22,7 +19,6 @@
 // "serve" section for report-diff gating against BENCH_serve.json.
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +36,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "serve/client.h"
+#include "util/flags.h"
 #include "util/options.h"
 #include "util/thread_pool.h"
 
@@ -47,39 +44,78 @@ namespace {
 
 using namespace phonolid;
 
-[[noreturn]] void usage_error(const char* message) {
-  std::fprintf(stderr,
-               "error: %s\n"
-               "usage: bench_serve --port N [--host H] [--scale S] [--seed N]\n"
-               "         [--connections C] [--repeat R] [--ledger l.jsonl]\n"
-               "         [--expected-llr f] [--llr-out f] [--report out.json]\n"
-               "         [--min-batch-p50 X]\n",
-               message);
-  std::exit(2);
-}
+using enum util::FlagKind;
+
+const util::FlagSpec kFlags[] = {
+    {"port", "N", "the daemon's port (required)", kInt, 1, 65535},
+    {"host", "H", "the daemon's address (default 127.0.0.1)"},
+    {"scale", "quick|default|full",
+     "corpus scale the bundle was frozen at (default: $PHONOLID_SCALE, else "
+     "default)",
+     kChoice},
+    {"seed", "N",
+     "master seed the bundle was frozen with (default: $PHONOLID_SEED, else "
+     "20090704)",
+     kInt, 0},
+    {"connections", "C", "closed-loop client connections (default 8)", kInt, 1},
+    {"repeat", "R", "score every test utterance R times (default 1)", kInt, 1},
+    {"ledger", "l.jsonl",
+     "the offline run's decision ledger; daemon LLRs must equal its fused "
+     "LLRs"},
+    {"expected-llr", "f", "write the ledger's LLRs to f"},
+    {"llr-out", "f", "write the daemon's LLRs to f"},
+    {"report", "out.json",
+     "write a schema-v1 run report with a \"serve\" section"},
+    {"min-batch-p50", "X",
+     "fail unless the daemon's batch-size median reaches X", kNumber, 0},
+};
 
 struct Options {
-  std::string host = "127.0.0.1";
-  int port = 0;
-  std::size_t connections = 8;
-  std::size_t repeat = 1;
+  std::string host;
+  int port;
+  util::Scale scale;
+  std::uint64_t seed;
+  std::size_t connections;
+  std::size_t repeat;
   std::string ledger_path;
   std::string expected_llr_path;
   std::string llr_out_path;
   std::string report_path;
-  double min_batch_p50 = 0.0;
+  double min_batch_p50;
 };
 
-long parse_long(const std::string& text, const char* flag) {
-  long value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size() || text.empty()) {
-    std::fprintf(stderr, "error: flag %s expects an integer, got '%s'\n",
-                 flag, text.c_str());
+/// Parse the command line against kFlags; a mistake exits 2 with usage.
+Options parse_options(int argc, char** argv) {
+  std::vector<std::string_view> accepted;
+  for (const util::FlagSpec& spec : kFlags) accepted.push_back(spec.name);
+  util::ParsedFlags flags;
+  try {
+    flags = util::parse_flags(kFlags, accepted,
+                              std::vector<std::string>(argv + 1, argv + argc),
+                              "bench_serve");
+    if (!flags.positionals.empty()) {
+      throw util::UsageError("unexpected argument " + flags.positionals[0]);
+    }
+    if (!flags.has("port")) throw util::UsageError("--port is required");
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "error: %s\nusage: bench_serve --port N [flags]\n%s",
+                 e.what(), util::format_flag_help(kFlags).c_str());
     std::exit(2);
   }
-  return value;
+  return {
+      .host = flags.text("host", "127.0.0.1"),
+      .port = static_cast<int>(flags.integer("port", 0)),
+      .scale = util::parse_scale(
+          flags.text("scale", util::to_string(util::scale_from_env()))),
+      .seed = static_cast<std::uint64_t>(flags.integer(
+          "seed", static_cast<std::int64_t>(util::master_seed()))),
+      .connections = static_cast<std::size_t>(flags.integer("connections", 8)),
+      .repeat = static_cast<std::size_t>(flags.integer("repeat", 1)),
+      .ledger_path = flags.text("ledger"),
+      .expected_llr_path = flags.text("expected-llr"),
+      .llr_out_path = flags.text("llr-out"),
+      .report_path = flags.text("report"),
+      .min_batch_p50 = flags.number("min-batch-p50", 0.0)};
 }
 
 struct RequestSample {
@@ -123,55 +159,19 @@ void write_llr_file(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (i + 1 >= argc) usage_error(("flag " + key + " expects a value").c_str());
-    const std::string value = argv[++i];
-    if (key == "--port") {
-      opt.port = static_cast<int>(parse_long(value, "--port"));
-    } else if (key == "--host") {
-      opt.host = value;
-    } else if (key == "--scale" || key == "--seed") {
-      // Parsed below through the standard env-compatible helpers.
-      ::setenv(key == "--scale" ? "PHONOLID_SCALE" : "PHONOLID_SEED",
-               value.c_str(), 1);
-    } else if (key == "--connections") {
-      opt.connections =
-          static_cast<std::size_t>(parse_long(value, "--connections"));
-    } else if (key == "--repeat") {
-      opt.repeat = static_cast<std::size_t>(parse_long(value, "--repeat"));
-    } else if (key == "--ledger") {
-      opt.ledger_path = value;
-    } else if (key == "--expected-llr") {
-      opt.expected_llr_path = value;
-    } else if (key == "--llr-out") {
-      opt.llr_out_path = value;
-    } else if (key == "--report") {
-      opt.report_path = value;
-    } else if (key == "--min-batch-p50") {
-      opt.min_batch_p50 = std::atof(value.c_str());
-    } else {
-      usage_error(("unknown flag " + key).c_str());
-    }
-  }
-  if (opt.port <= 0) usage_error("--port is required");
-  if (opt.connections == 0) opt.connections = 1;
-  if (opt.repeat == 0) opt.repeat = 1;
-
-  const auto scale = util::scale_from_env();
-  const std::uint64_t seed = util::master_seed();
+  const Options opt = parse_options(argc, argv);
   std::printf("# bench_serve (scale=%s, seed=%llu, %s:%d, %zu connections, "
               "repeat %zu)\n",
-              util::to_string(scale), static_cast<unsigned long long>(seed),
-              opt.host.c_str(), opt.port, opt.connections, opt.repeat);
+              util::to_string(opt.scale),
+              static_cast<unsigned long long>(opt.seed), opt.host.c_str(),
+              opt.port, opt.connections, opt.repeat);
 
-  const auto corpus_cfg = corpus::CorpusConfig::preset(scale, seed);
+  const auto corpus_cfg = corpus::CorpusConfig::preset(opt.scale, opt.seed);
   const auto corpus = corpus::LreCorpus::build(corpus_cfg);
   const auto& test = corpus.test();
   if (test.empty()) {
     std::fprintf(stderr, "error: empty test set at scale %s\n",
-                 util::to_string(scale));
+                 util::to_string(opt.scale));
     return 1;
   }
   std::printf("# %zu pooled test utterances -> %zu requests\n", test.size(),
@@ -366,12 +366,10 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.report_path.empty()) {
-    obs::ReportMeta meta;
-    meta.tool = "phonolid-bench";
-    meta.command = "bench_serve";
-    meta.scale = util::to_string(scale);
-    meta.seed = seed;
-    meta.threads = util::ThreadPool::global().num_threads();
+    const obs::ReportMeta meta{
+        .tool = "phonolid-bench", .command = "bench_serve",
+        .scale = util::to_string(opt.scale), .seed = opt.seed,
+        .threads = util::ThreadPool::global().num_threads()};
     obs::Json serve_section = obs::Json::object();
     // v2: adds latency_ms.p999 and the per-phase "phases" block sourced
     // from the daemon's kStats frame (p50/p99/p999/mean/count per phase).

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -159,16 +158,6 @@ void gemm_tn_tile(const util::Matrix& a, const util::Matrix& b,
 
 }  // namespace
 
-KernelImpl active_impl() noexcept {
-  static const KernelImpl impl = [] {
-    if (const char* env = std::getenv("PHONOLID_KERNEL")) {
-      if (std::strcmp(env, "generic") == 0) return KernelImpl::kGeneric;
-    }
-    return KernelImpl::kBlocked;
-  }();
-  return impl;
-}
-
 float sigmoid(float x) noexcept {
   if (x >= 0.0f) {
     return 1.0f / (1.0f + std::exp(-x));
@@ -294,10 +283,6 @@ void gemm(const util::Matrix& a, const util::Matrix& b, util::Matrix& c,
   obs::Energy::charge_flops(2.0 * static_cast<double>(a.rows()) *
                             static_cast<double>(a.cols()) *
                             static_cast<double>(b.cols()));
-  if (active_impl() == KernelImpl::kGeneric) {
-    ref::gemm(a, b, c);
-    return;
-  }
   check_gemm_shapes(a, b, a.cols(), b.rows(), "gemm");
   c.resize(a.rows(), b.cols());
   const std::size_t flops = a.rows() * a.cols() * b.cols();
@@ -314,10 +299,6 @@ void gemm_nt(const util::Matrix& a, const util::Matrix& b, util::Matrix& c,
   obs::Energy::charge_flops(2.0 * static_cast<double>(a.rows()) *
                             static_cast<double>(a.cols()) *
                             static_cast<double>(b.rows()));
-  if (active_impl() == KernelImpl::kGeneric) {
-    ref::gemm_nt(a, b, c, bias, ep);
-    return;
-  }
   check_gemm_shapes(a, b, a.cols(), b.cols(), "gemm_nt");
   c.resize(a.rows(), b.rows());
   const std::size_t flops = a.rows() * a.cols() * b.rows();
@@ -331,10 +312,6 @@ void gemm_tn(const util::Matrix& a, const util::Matrix& b, util::Matrix& c,
   obs::Energy::charge_flops(2.0 * static_cast<double>(a.rows()) *
                             static_cast<double>(a.cols()) *
                             static_cast<double>(b.cols()));
-  if (active_impl() == KernelImpl::kGeneric) {
-    ref::gemm_tn(a, b, c, alpha, accumulate);
-    return;
-  }
   check_gemm_shapes(a, b, a.rows(), b.rows(), "gemm_tn");
   if (!accumulate) {
     c.resize(a.cols(), b.cols());

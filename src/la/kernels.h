@@ -18,11 +18,6 @@
 //    util::parallel_for, which uses the thread pool's helping-wait: a
 //    caller already running on a pool worker drains queued tiles itself
 //    instead of deadlocking.
-//
-// PHONOLID_KERNEL=generic selects the naive reference implementations in
-// la::ref (same results up to floating-point reassociation; used to
-// bisect kernel bugs).  Anything else (default "blocked") uses the tiled
-// kernels.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +30,6 @@ class ThreadPool;
 }
 
 namespace phonolid::la {
-
-/// Which implementation the dispatchers use (read once from
-/// PHONOLID_KERNEL: "generic" or "blocked"/unset).
-enum class KernelImpl { kBlocked, kGeneric };
-[[nodiscard]] KernelImpl active_impl() noexcept;
 
 /// Fixed row-tile size used when parallelising over output rows.  Part of
 /// the determinism contract: tile boundaries never depend on the thread
@@ -99,8 +89,8 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) noexcept;
 void sparse_axpy(float alpha, std::span<const std::uint32_t> idx,
                  std::span<const float> val, std::span<float> dense) noexcept;
 
-/// Naive reference implementations (also what PHONOLID_KERNEL=generic
-/// dispatches to).  Tests compare the blocked kernels against these.
+/// Naive reference implementations; tests compare the blocked kernels
+/// against these.
 namespace ref {
 void gemm(const util::Matrix& a, const util::Matrix& b, util::Matrix& c);
 void gemm_nt(const util::Matrix& a, const util::Matrix& b, util::Matrix& c,

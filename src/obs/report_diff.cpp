@@ -1,11 +1,13 @@
 #include "obs/report_diff.h"
 
+#include <array>
 #include <cstdio>
 #include <initializer_list>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace phonolid::obs {
 
@@ -57,13 +59,6 @@ void collect_numeric_leaves(const Json& node, const std::string& prefix,
   }
 }
 
-std::map<std::string, double> result_leaves(const Json& report) {
-  std::map<std::string, double> out;
-  const Json* results = report.find("results");
-  if (results != nullptr) collect_numeric_leaves(*results, "results", out);
-  return out;
-}
-
 /// Scalar + per-language/per-round "quality" leaves.  The bulky subtrees
 /// (DET staircase, histograms, confusion counts) are deliberately not
 /// diffed — they change shape freely and gating happens on the derived
@@ -79,26 +74,12 @@ std::map<std::string, double> quality_leaves(const Json& report) {
   return out;
 }
 
-std::map<std::string, double> resource_leaves(const Json& report) {
-  std::map<std::string, double> out;
-  const Json* resource = report.find("resource");
-  if (resource != nullptr) collect_numeric_leaves(*resource, "resource", out);
-  return out;
-}
-
 std::map<std::string, double> section_leaves(const Json& report,
                                              const std::string& section) {
   std::map<std::string, double> out;
   const Json* node = report.find(section);
   if (node != nullptr) collect_numeric_leaves(*node, section, out);
   return out;
-}
-
-/// The "energy" leaves that --max-energy-delta-pct gates; everything else
-/// in the section (gflops, watts, sampler stats) is report-only.
-bool is_gated_energy_leaf(const std::string& key) {
-  return key == "energy/total_joules" || key == "energy/joules_per_utterance" ||
-         key == "energy/joules_per_test_utterance";
 }
 
 const char* energy_source(const Json& report) {
@@ -165,33 +146,17 @@ double numeric_at(const Json& report,
 /// incomplete; say so loudly instead of letting a truncated run pass a gate.
 void note_drops(const Json& report, const char* side,
                 ReportDiffResult& result) {
-  const double recorder_drops =
-      numeric_at(report, {"resource", "flight_recorder", "dropped_events"});
-  if (recorder_drops > 0) {
-    result.notes.push_back(
-        "WARNING: " + std::string(side) + " dropped " +
-        std::to_string(static_cast<long long>(recorder_drops)) +
-        " flight-recorder events — its trace is truncated");
-  }
-  const double profile_drops = numeric_at(report, {"profile", "dropped"});
-  if (profile_drops > 0) {
-    result.notes.push_back(
-        "WARNING: " + std::string(side) + " dropped " +
-        std::to_string(static_cast<long long>(profile_drops)) +
-        " profiler samples — its profile is incomplete");
-  }
+  const auto note = [&](double dropped, const char* what) {
+    if (dropped <= 0) return;
+    result.notes.push_back("WARNING: " + std::string(side) + " dropped " +
+                           std::to_string(static_cast<long long>(dropped)) +
+                           what);
+  };
+  note(numeric_at(report, {"resource", "flight_recorder", "dropped_events"}),
+       " flight-recorder events — its trace is truncated");
+  note(numeric_at(report, {"profile", "dropped"}),
+       " profiler samples — its profile is incomplete");
 }
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Absolute floor under the serve/phases/*/p99[9] gate: the phase
-/// histograms have 0.1 ms buckets, so a one-bucket wobble is a huge
-/// relative change on a fast phase; require the regression to also exceed
-/// this many milliseconds before it can violate.
-constexpr double kPhaseP99SlackMs = 1.0;
 
 /// Forward compatibility: a newer binary may emit top-level sections this
 /// tool has never heard of.  They must surface as notes and be skipped, not
@@ -214,30 +179,176 @@ void note_unknown_sections(const Json& report, const char* side,
   }
 }
 
-/// Walk two keyed maps in lockstep: common keys produce rows via `on_both`,
-/// one-sided keys produce notes.
-template <typename OnBoth>
-void compare_maps(const std::map<std::string, double>& base,
-                  const std::map<std::string, double>& cur,
-                  const std::string& kind, ReportDiffResult& result,
-                  OnBoth on_both) {
-  for (const auto& [key, b] : base) {
-    const auto it = cur.find(key);
-    if (it == cur.end()) {
-      result.notes.push_back(kind + " only in baseline: " + key);
-    } else {
-      on_both(key, b, it->second);
+/// Whether both reports' joules come from one energy source: RAPL joules
+/// and software-model joules are not comparable, so a differing source is
+/// a note and leaves the joule leaves ungated.
+bool same_energy_source(const Json& baseline, const Json& current,
+                        ReportDiffResult& result) {
+  const char* base_source = energy_source(baseline);
+  const char* cur_source = energy_source(current);
+  if (base_source == nullptr || cur_source == nullptr) return false;
+  if (std::string_view(base_source) == cur_source) return true;
+  result.notes.push_back(std::string("energy source differs (baseline ") +
+                         base_source + ", current " + cur_source +
+                         ") — joule leaves not gated");
+  return false;
+}
+
+/// The report sections compared, in table order: `name`'s numeric leaves
+/// as they are, or those `leaves` extracts.  Unchanged rows of the
+/// `elide_unchanged` kinds are the bulk of a same-machine diff, so the
+/// printed table hides them.
+struct Section {
+  std::string_view kind;
+  const char* name;
+  std::map<std::string, double> (*leaves)(const Json& report);
+  bool elide_unchanged;
+};
+
+const Section kSections[] = {
+    {"span", nullptr, span_means, false},
+    {"counter", nullptr, counter_values, true},
+    {"result", "results", nullptr, false},
+    {"quality", nullptr, quality_leaves, false},
+    {"resource", "resource", nullptr, true},
+    {"energy", "energy", nullptr, false},
+    {"hw", "hw", nullptr, true},
+    {"profile", nullptr, profile_leaves, true},
+    {"serve", "serve", nullptr, true},
+};
+
+enum class Worse { kRise, kDrop };
+enum class Budget { kAbsolute, kPercent };  // leaf units, or % of baseline
+
+/// One gate.  A row is gated by the first gate whose kinds and leaf cover
+/// it and whose threshold (or, while that is unset, its fallback) is >= 0.
+/// It violates when its regression, a rise or a drop per `worse`, exceeds
+/// the threshold in `budget` units and also exceeds `slack` in leaf units.
+/// Percent budgets skip leaves whose baseline is not positive, and `floor`
+/// skips leaves whose baseline is below that option.
+struct Gate {
+  std::string_view flag;  // the CLI flag, and the gated row's gate name
+  double ReportDiffOptions::*threshold;
+  std::array<std::string_view, 2> kinds;
+  bool (*leaf)(std::string_view key);
+  Worse worse;
+  Budget budget;
+  std::string_view help;
+  double slack = 0.0;
+  double ReportDiffOptions::*fallback = nullptr;
+  double ReportDiffOptions::*floor = nullptr;
+};
+
+using O = ReportDiffOptions;
+using enum Worse;
+using enum Budget;
+constexpr std::array<std::string_view, 2> kAccuracy = {"result", "quality"};
+
+const Gate kGates[] = {
+    {"max-regress", &O::max_regress_pct, {"span"},
+     [](std::string_view) { return true; }, kRise, kPercent,
+     "fail when a span mean grows by more than pct percent", 0.0, nullptr,
+     &O::min_span_s},
+    {"max-eer-delta", &O::max_eer_delta, kAccuracy,
+     [](std::string_view k) { return k.ends_with("/eer"); }, kRise, kAbsolute,
+     "fail when an eer leaf under results or quality rises by more than x "
+     "(a fraction: 0.02 = 2 points)"},
+    {"max-cavg-delta", &O::max_cavg_delta, kAccuracy,
+     [](std::string_view k) { return k.ends_with("/cavg"); }, kRise, kAbsolute,
+     "the same for cavg leaves (default: the --max-eer-delta budget)", 0.0,
+     &O::max_eer_delta},
+    {"max-cllr-delta", &O::max_cllr_delta, kAccuracy,
+     [](std::string_view k) {
+       return k.ends_with("/cllr") || k.ends_with("/min_cllr");
+     },
+     kRise, kAbsolute, "the same for cllr and min_cllr leaves"},
+    {"max-adoption-precision-drop", &O::max_adoption_precision_drop, kAccuracy,
+     [](std::string_view k) {
+       return k.ends_with("/precision") && k.find("/adoption") != k.npos;
+     },
+     kDrop, kAbsolute,
+     "fail when a DBA adoption precision leaf drops by more than x"},
+    // Joules of different energy sources are never compared (diff_reports).
+    {"max-energy-delta-pct", &O::max_energy_delta_pct, {"energy"},
+     [](std::string_view k) {
+       return k == "energy/total_joules" ||
+              k == "energy/joules_per_utterance" ||
+              k == "energy/joules_per_test_utterance";
+     },
+     kRise, kPercent,
+     "fail when total or per-utterance joules grow by more than pct percent "
+     "(reports of one energy source only)"},
+    {"max-self-share-delta", &O::max_self_share_delta, {"profile"},
+     [](std::string_view k) {
+       return k.starts_with("profile/functions/") && k.ends_with("/self_share");
+     },
+     kRise, kAbsolute,
+     "fail when a function's profile self-time share (0..1) rises by more "
+     "than x"},
+    {"max-serve-p99-regress", &O::max_serve_p99_regress_pct, {"serve"},
+     [](std::string_view k) { return k == "serve/latency_ms/p99"; }, kRise,
+     kPercent,
+     "fail when bench_serve's latency p99 grows by more than pct percent"},
+    {"max-serve-throughput-drop", &O::max_serve_throughput_drop_pct, {"serve"},
+     [](std::string_view k) { return k == "serve/throughput_rps"; }, kDrop,
+     kPercent,
+     "fail when bench_serve's throughput drops by more than pct percent"},
+    // Phase percentiles are edges of 0.1 ms buckets: a one-bucket wobble
+    // is a huge relative change on a fast phase, hence the 1 ms slack.
+    {"max-phase-p99-regress", &O::max_phase_p99_regress_pct, {"serve"},
+     [](std::string_view k) {
+       return k.starts_with("serve/phases/") &&
+              (k.ends_with("/p99") || k.ends_with("/p999"));
+     },
+     kRise, kPercent,
+     "fail when a serve phase's p99 or p999 grows by more than pct percent "
+     "and by more than 1 ms",
+     1.0},
+};
+
+void apply_gates(ReportDiffRow& row, const ReportDiffOptions& options) {
+  for (const Gate& gate : kGates) {
+    if (row.kind != gate.kinds[0] && row.kind != gate.kinds[1]) continue;
+    if (!gate.leaf(row.key)) continue;
+    double threshold = options.*gate.threshold;
+    if (!(threshold >= 0.0) && gate.fallback != nullptr) {
+      threshold = options.*gate.fallback;
     }
-  }
-  for (const auto& [key, c] : cur) {
-    (void)c;
-    if (base.find(key) == base.end()) {
-      result.notes.push_back(kind + " only in current: " + key);
-    }
+    if (!(threshold >= 0.0)) continue;
+    if (gate.floor != nullptr && !(row.base >= options.*gate.floor)) continue;
+    const bool percent = gate.budget == kPercent;
+    if (percent && !(row.base > 0.0)) continue;
+    const double regress =
+        gate.worse == kRise ? row.cur - row.base : row.base - row.cur;
+    const double excess = percent ? 100.0 * regress / row.base : regress;
+    row.gated = true;
+    row.gate = gate.flag;
+    row.threshold = threshold;
+    row.violation = excess > threshold && regress > gate.slack;
+    return;
   }
 }
 
+bool elides_unchanged(const std::string& kind) {
+  for (const Section& section : kSections) {
+    if (section.kind == kind) return section.elide_unchanged;
+  }
+  return false;
+}
+
 }  // namespace
+
+std::vector<ReportDiffFlag> report_diff_flags() {
+  std::vector<ReportDiffFlag> flags;
+  for (const Gate& gate : kGates) {
+    flags.push_back({gate.flag, gate.budget == kPercent ? "pct" : "x",
+                     gate.threshold, gate.help});
+  }
+  flags.push_back({"min-span-s", "s", &O::min_span_s,
+                   "--max-regress skips spans whose baseline mean is below s "
+                   "seconds, which is timer noise (default 0.01)"});
+  return flags;
+}
 
 ReportDiffResult diff_reports(const Json& baseline, const Json& current,
                               const ReportDiffOptions& options) {
@@ -254,193 +365,37 @@ ReportDiffResult diff_reports(const Json& baseline, const Json& current,
     result.violated = true;
   }
 
-  compare_maps(span_means(baseline), span_means(current), "span", result,
-               [&](const std::string& path, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "span";
-                 row.key = path;
-                 row.base = b;
-                 row.cur = c;
-                 row.gated = options.max_regress_pct >= 0.0 &&
-                             b >= options.min_span_s && b > 0.0;
-                 if (row.gated) {
-                   row.gate = "max-regress-pct";
-                   row.threshold = options.max_regress_pct;
-                   const double pct = 100.0 * (c - b) / b;
-                   row.violation = pct > options.max_regress_pct;
-                 }
-                 result.rows.push_back(std::move(row));
-               });
-
-  compare_maps(counter_values(baseline), counter_values(current), "counter",
-               result, [&](const std::string& name, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "counter";
-                 row.key = name;
-                 row.base = b;
-                 row.cur = c;
-                 result.rows.push_back(std::move(row));
-               });
-
-  // Accuracy/calibration leaves share one gating rule set so "results" and
-  // "quality" sections behave identically.
-  const auto accuracy_row = [&](const std::string& kind,
-                                const std::string& key, double b, double c) {
-    ReportDiffRow row;
-    row.kind = kind;
-    row.key = key;
-    row.base = b;
-    row.cur = c;
-    const double cavg_delta = options.max_cavg_delta >= 0.0
-                                  ? options.max_cavg_delta
-                                  : options.max_eer_delta;
-    if (ends_with(key, "/eer") && options.max_eer_delta >= 0.0) {
-      row.gated = true;
-      row.gate = "max-eer-delta";
-      row.threshold = options.max_eer_delta;
-      row.violation = (c - b) > options.max_eer_delta;
-    } else if (ends_with(key, "/cavg") && cavg_delta >= 0.0) {
-      row.gated = true;
-      row.gate = "max-cavg-delta";
-      row.threshold = cavg_delta;
-      row.violation = (c - b) > cavg_delta;
-    } else if ((ends_with(key, "/cllr") || ends_with(key, "/min_cllr")) &&
-               options.max_cllr_delta >= 0.0) {
-      row.gated = true;
-      row.gate = "max-cllr-delta";
-      row.threshold = options.max_cllr_delta;
-      row.violation = (c - b) > options.max_cllr_delta;
-    } else if (ends_with(key, "/precision") &&
-               key.find("/adoption") != std::string::npos &&
-               options.max_adoption_precision_drop >= 0.0) {
-      row.gated = true;
-      row.gate = "max-adoption-precision-drop";
-      row.threshold = options.max_adoption_precision_drop;
-      row.violation = (b - c) > options.max_adoption_precision_drop;
+  // Keys on both sides become rows; keys on one side only become notes.
+  for (const Section& section : kSections) {
+    const std::string kind(section.kind);
+    const bool gateable =
+        kind != "energy" || same_energy_source(baseline, current, result);
+    const auto leaves = [&](const Json& report) {
+      return section.leaves != nullptr ? section.leaves(report)
+                                       : section_leaves(report, section.name);
+    };
+    const std::map<std::string, double> base = leaves(baseline);
+    const std::map<std::string, double> cur = leaves(current);
+    for (const auto& [key, b] : base) {
+      const auto it = cur.find(key);
+      if (it == cur.end()) {
+        result.notes.push_back(kind + " only in baseline: " + key);
+        continue;
+      }
+      ReportDiffRow row;
+      row.kind = kind;
+      row.key = key;
+      row.base = b;
+      row.cur = it->second;
+      if (gateable) apply_gates(row, options);
+      result.rows.push_back(std::move(row));
     }
-    result.rows.push_back(std::move(row));
-  };
-
-  compare_maps(result_leaves(baseline), result_leaves(current), "result",
-               result, [&](const std::string& key, double b, double c) {
-                 accuracy_row("result", key, b, c);
-               });
-
-  compare_maps(quality_leaves(baseline), quality_leaves(current), "quality",
-               result, [&](const std::string& key, double b, double c) {
-                 accuracy_row("quality", key, b, c);
-               });
-
-  compare_maps(resource_leaves(baseline), resource_leaves(current),
-               "resource", result,
-               [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "resource";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 result.rows.push_back(std::move(row));
-               });
-
-  const char* base_source = energy_source(baseline);
-  const char* cur_source = energy_source(current);
-  const bool sources_match =
-      base_source != nullptr && cur_source != nullptr &&
-      std::string(base_source) == cur_source;
-  if (base_source != nullptr && cur_source != nullptr && !sources_match) {
-    result.notes.push_back(std::string("energy source differs (baseline ") +
-                           base_source + ", current " + cur_source +
-                           ") — joule leaves not gated");
+    for (const auto& [key, c] : cur) {
+      if (!base.contains(key)) {
+        result.notes.push_back(kind + " only in current: " + key);
+      }
+    }
   }
-  compare_maps(section_leaves(baseline, "energy"),
-               section_leaves(current, "energy"), "energy", result,
-               [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "energy";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 row.gated = options.max_energy_delta_pct >= 0.0 &&
-                             sources_match && is_gated_energy_leaf(key) &&
-                             b > 0.0;
-                 if (row.gated) {
-                   row.gate = "max-energy-delta-pct";
-                   row.threshold = options.max_energy_delta_pct;
-                   const double pct = 100.0 * (c - b) / b;
-                   row.violation = pct > options.max_energy_delta_pct;
-                 }
-                 result.rows.push_back(std::move(row));
-               });
-
-  compare_maps(section_leaves(baseline, "hw"), section_leaves(current, "hw"),
-               "hw", result, [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "hw";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 result.rows.push_back(std::move(row));
-               });
-
-  compare_maps(profile_leaves(baseline), profile_leaves(current), "profile",
-               result, [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "profile";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 row.gated = options.max_self_share_delta >= 0.0 &&
-                             key.rfind("profile/functions/", 0) == 0 &&
-                             ends_with(key, "/self_share");
-                 if (row.gated) {
-                   row.gate = "max-self-share-delta";
-                   row.threshold = options.max_self_share_delta;
-                   row.violation = (c - b) > options.max_self_share_delta;
-                 }
-                 result.rows.push_back(std::move(row));
-               });
-
-  compare_maps(section_leaves(baseline, "serve"),
-               section_leaves(current, "serve"), "serve", result,
-               [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "serve";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 if (key == "serve/latency_ms/p99" &&
-                     options.max_serve_p99_regress_pct >= 0.0 && b > 0.0) {
-                   row.gated = true;
-                   row.gate = "max-serve-p99-regress";
-                   row.threshold = options.max_serve_p99_regress_pct;
-                   const double pct = 100.0 * (c - b) / b;
-                   row.violation = pct > options.max_serve_p99_regress_pct;
-                 } else if (key == "serve/throughput_rps" &&
-                            options.max_serve_throughput_drop_pct >= 0.0 &&
-                            b > 0.0) {
-                   row.gated = true;
-                   row.gate = "max-serve-throughput-drop";
-                   row.threshold = options.max_serve_throughput_drop_pct;
-                   const double drop_pct = 100.0 * (b - c) / b;
-                   row.violation =
-                       drop_pct > options.max_serve_throughput_drop_pct;
-                 } else if (key.rfind("serve/phases/", 0) == 0 &&
-                            (ends_with(key, "/p99") ||
-                             ends_with(key, "/p999")) &&
-                            options.max_phase_p99_regress_pct >= 0.0 &&
-                            b > 0.0) {
-                   row.gated = true;
-                   row.gate = "max-phase-p99-regress";
-                   row.threshold = options.max_phase_p99_regress_pct;
-                   const double pct = 100.0 * (c - b) / b;
-                   // Sub-millisecond absolute deltas are bucket-edge noise
-                   // on the fine phase buckets (e.g. 0.1 → 0.5 ms is
-                   // +400 %), not a regression worth failing CI over.
-                   row.violation = pct > options.max_phase_p99_regress_pct &&
-                                   (c - b) > kPhaseP99SlackMs;
-                 }
-                 result.rows.push_back(std::move(row));
-               });
 
   note_unknown_sections(baseline, "baseline", result);
   note_unknown_sections(current, "current", result);
@@ -461,11 +416,7 @@ std::string ReportDiffResult::format() const {
   out << line;
   std::size_t hidden = 0;
   for (const ReportDiffRow& row : rows) {
-    // Unchanged counter/resource/hw rows are the bulk of a same-machine
-    // diff; elide them.
-    if ((row.kind == "counter" || row.kind == "resource" ||
-         row.kind == "hw" || row.kind == "profile" || row.kind == "serve") &&
-        row.base == row.cur && !row.violation) {
+    if (elides_unchanged(row.kind) && row.base == row.cur && !row.violation) {
       ++hidden;
       continue;
     }
@@ -484,7 +435,12 @@ std::string ReportDiffResult::format() const {
     out << line;
   }
   if (hidden > 0) {
-    out << "(" << hidden << " unchanged counter/resource rows elided)\n";
+    std::string kinds;
+    for (const Section& section : kSections) {
+      if (!section.elide_unchanged) continue;
+      kinds += (kinds.empty() ? "" : "/") + std::string(section.kind);
+    }
+    out << "(" << hidden << " unchanged " << kinds << " rows elided)\n";
   }
   for (const std::string& note : notes) {
     out << "note: " << note << '\n';

@@ -1,112 +1,37 @@
-// Structural comparison of two schema-v1 run reports (obs/report.h).
+// Structural comparison of two schema-v1 run reports (obs/report.h):
+// `phonolid report-diff baseline.json current.json` prints a delta table
+// over every compared section and exits 1 when a gate is violated.
 //
-// Turns the committed BENCH_*.json trajectory into an enforced regression
-// signal: `phonolid report-diff baseline.json current.json` prints a delta
-// table over span means, counters, and the results section (EER/Cavg), and
-// the caller exits nonzero when a configured threshold is violated.
-//
-// Gating semantics:
-//   - span means gate on relative regression: a span whose baseline mean is
-//     at least `min_span_s` and whose current mean grew by more than
-//     `max_regress_pct` percent is a violation (negative deltas — speedups —
-//     never violate).  Spans below `min_span_s` are reported but not gated;
-//     sub-10ms means are timer noise, not signal.
-//   - numeric leaves under "results" and "quality" named "eer" or "cavg"
-//     gate on absolute regression: current - baseline > max_eer_delta
-//     (cavg leaves prefer max_cavg_delta when set, falling back to
-//     max_eer_delta) is a violation (improvements never violate).  Values
-//     are fractions, so 0.02 = 2 percentage points.
-//   - "quality" leaves named "cllr" / "min_cllr" gate on absolute increase
-//     via max_cllr_delta; adoption "precision" leaves gate on absolute
-//     *drop* (baseline - current) via max_adoption_precision_drop.  The
-//     bulky quality subtrees (det, histogram, confusion) are not diffed.
-//   - counters are compared and reported when they differ but never gate:
-//     they are deterministic diagnostics (e.g. thread counts legitimately
-//     change threadpool.* volume across machines).
-//   - "resource" leaves (peak RSS, CPU time, recorder drops) are reported
-//     when they differ but never gate — they vary across machines.
-//   - "profile" share leaves (per-function self/total sample shares, per-
-//     span sample shares from the sampling CPU profiler) are compared by
-//     *name*, and function self_share leaves gate on absolute increase via
-//     max_self_share_delta; raw sample counts are report-only.  Nonzero
-//     flight-recorder or profiler drop counts on either side are surfaced
-//     as warning notes — a truncated trace or profile must not pass a gate
-//     silently.
-//   - "energy" leaves gate on relative increase: total_joules and
-//     joules-per-utterance leaves growing by more than max_energy_delta_pct
-//     percent are violations; other energy leaves (and everything under
-//     "hw") are report-only.  A differing energy.source is a note, since
-//     RAPL joules and software-model joules are not comparable.
-//   - "serve" leaves (emitted by bench_serve) are compared numerically;
-//     serve/latency_ms/p99 gates on relative *growth* via
-//     max_serve_p99_regress_pct, serve/throughput_rps gates on relative
-//     *drop* via max_serve_throughput_drop_pct, and the per-phase
-//     serve/phases/*/p99 + p999 leaves gate on relative growth via
-//     max_phase_p99_regress_pct.  Everything else in the
-//     section (shed counts, connection counts) is report-only.
-//   - a schema_version mismatch between the two documents is itself a
-//     violation (the comparison would be meaningless).
-//   - sections/keys present on only one side are reported as notes, never
-//     violations, so reports from different commands stay comparable.
-//     Top-level sections this tool does not understand (added by newer
-//     binaries) are likewise surfaced as notes and skipped, never errors —
-//     an old report-diff must not reject a new report outright.
-//
-// Thresholds set to a negative value (the default) disable that gate, so a
-// bare `report-diff a.json b.json` is a pure inspection tool that always
+// Each gate is one row of the gate table in report_diff.cpp (DESIGN.md §7
+// lists them); rows no gate covers are report-only.  A schema_version
+// mismatch is a violation.  Keys or sections on one side only, unknown
+// top-level sections, and nonzero recorder or profiler drop counts are
+// notes, so reports of other commands and newer binaries stay comparable.
+// Negative thresholds (the default) turn gates off, so a bare diff always
 // exits 0.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.h"
 
 namespace phonolid::obs {
 
+/// One threshold per gate (negative = gate off), named after its flag in
+/// the gate table of report_diff.cpp.
 struct ReportDiffOptions {
-  /// Max allowed span-mean growth in percent; negative = don't gate timing.
   double max_regress_pct = -1.0;
-  /// Max allowed absolute EER/Cavg increase; negative = don't gate accuracy.
   double max_eer_delta = -1.0;
-  /// Max allowed absolute Cavg increase; negative = fall back to
-  /// max_eer_delta for cavg leaves (backward compatible).
+  /// Negative = cavg leaves gate on max_eer_delta.
   double max_cavg_delta = -1.0;
-  /// Max allowed absolute Cllr / min-Cllr increase on "quality" leaves;
-  /// negative = don't gate calibration.
   double max_cllr_delta = -1.0;
-  /// Max allowed absolute drop (baseline - current) of adoption precision
-  /// leaves under "quality"; negative = don't gate adoption.
   double max_adoption_precision_drop = -1.0;
-  /// Max allowed relative increase (percent) of energy/total_joules and the
-  /// per-utterance joule leaves; negative = don't gate energy.  Meaningful
-  /// when both reports used the same energy source (the diff notes a source
-  /// mismatch); software-model joules are deterministic, so a tight
-  /// threshold (~1%) works in CI.
   double max_energy_delta_pct = -1.0;
-  /// Max allowed absolute increase of a function's profile self-time share
-  /// (profile/functions/<name>/self_share, a 0..1 fraction of all samples);
-  /// negative = don't gate the profile.  Raw sample counts are
-  /// machine-dependent and never gate; only shares of the same function on
-  /// both sides do, and a missing "profile" section stays a note, so old
-  /// baselines diff clean.
   double max_self_share_delta = -1.0;
-  /// Max allowed relative growth (percent) of serve/latency_ms/p99 from a
-  /// bench_serve report; negative = don't gate serving latency.  Bucketed
-  /// p99 on a loaded daemon is noisy, so CI thresholds should be generous
-  /// (hundreds of percent) — the gate exists to catch order-of-magnitude
-  /// regressions, not jitter.
   double max_serve_p99_regress_pct = -1.0;
-  /// Max allowed relative *drop* (percent, baseline -> current) of
-  /// serve/throughput_rps; negative = don't gate serving throughput.
   double max_serve_throughput_drop_pct = -1.0;
-  /// Max allowed relative growth (percent) of the per-phase percentiles
-  /// serve/phases/<phase>/p99 and .../p999 (phase ∈ queue_wait_ms,
-  /// batch_wait_ms, compute_ms, write_ms); negative = don't gate phases.
-  /// Gating per phase is what separates a queue-wait regression (admission
-  /// or batching bug) from a compute regression (kernel slowdown).  Phase
-  /// percentiles are bucket-edge estimates on sub-millisecond buckets, so
-  /// deltas under 1 ms never violate regardless of their relative size.
   double max_phase_p99_regress_pct = -1.0;
   /// Spans with a baseline mean below this (seconds) are never gated.
   double min_span_s = 0.01;
@@ -120,7 +45,7 @@ struct ReportDiffRow {
   double cur = 0.0;
   bool gated = false;      // a threshold was applied to this row
   bool violation = false;  // ... and it fired
-  std::string gate;        // gate name when gated (e.g. "max-eer-delta")
+  std::string gate;        // the gate's flag when gated (e.g. "max-eer-delta")
   double threshold = 0.0;  // the threshold that was applied when gated
 };
 
@@ -132,6 +57,17 @@ struct ReportDiffResult {
   /// Human-readable delta table (rows that changed, notes, verdict line).
   [[nodiscard]] std::string format() const;
 };
+
+/// A report-diff command-line option: each gate's threshold flag, plus the
+/// span gate's --min-span-s floor.  Listed from the gate table, so a CLI
+/// declares none of them itself.
+struct ReportDiffFlag {
+  std::string_view name;             // without the leading "--"
+  std::string_view value;            // usage placeholder: "pct", "x" or "s"
+  double ReportDiffOptions::*field;  // the option the flag sets
+  std::string_view help;
+};
+[[nodiscard]] std::vector<ReportDiffFlag> report_diff_flags();
 
 /// Compare two parsed schema-v1 reports.  Never throws on missing
 /// sections — absent pieces become notes.

@@ -1,14 +1,6 @@
 #include "util/matrix.h"
 
-#include <cmath>
-
 namespace phonolid::util {
-
-void axpy(float alpha, std::span<const float> x, std::span<float> y) noexcept {
-  assert(x.size() == y.size());
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
 
 float dot(std::span<const float> a, std::span<const float> b) noexcept {
   assert(a.size() == b.size());
@@ -26,45 +18,9 @@ float dot(std::span<const float> a, std::span<const float> b) noexcept {
   return (s0 + s1) + (s2 + s3);
 }
 
-float norm2(std::span<const float> a) noexcept {
-  return std::sqrt(dot(a, a));
-}
-
-void scale(float alpha, std::span<float> x) noexcept {
-  for (auto& v : x) v *= alpha;
-}
-
 void matvec(const Matrix& a, std::span<const float> x, std::span<float> out) noexcept {
   assert(x.size() == a.cols() && out.size() == a.rows());
   for (std::size_t r = 0; r < a.rows(); ++r) out[r] = dot(a.row(r), x);
-}
-
-void matvec_transposed(const Matrix& a, std::span<const float> x,
-                       std::span<float> out) noexcept {
-  assert(x.size() == a.rows() && out.size() == a.cols());
-  std::fill(out.begin(), out.end(), 0.0f);
-  for (std::size_t r = 0; r < a.rows(); ++r) axpy(x[r], a.row(r), out);
-}
-
-void matmul(const Matrix& a, const Matrix& b, Matrix& c) noexcept {
-  assert(a.cols() == b.rows());
-  c.resize(a.rows(), b.cols());
-  // i-k-j order: streams through B and C rows contiguously.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    auto ci = c.row(i);
-    auto ai = a.row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const float aik = ai[k];
-      if (aik == 0.0f) continue;
-      axpy(aik, b.row(k), ci);
-    }
-  }
-}
-
-void ger(float alpha, std::span<const float> x, std::span<const float> y,
-         Matrix& a) noexcept {
-  assert(x.size() == a.rows() && y.size() == a.cols());
-  for (std::size_t r = 0; r < a.rows(); ++r) axpy(alpha * x[r], y, a.row(r));
 }
 
 }  // namespace phonolid::util

@@ -1,9 +1,9 @@
-// Dense row-major matrix / vector math used throughout phonolid.
+// Dense row-major matrix storage used throughout phonolid.
 //
-// Deliberately minimal: contiguous storage, bounds-checked accessors in
-// debug builds, and the handful of BLAS-1/2/3 style kernels the acoustic
-// models and SVM need.  All hot loops operate on raw spans so the compiler
-// can vectorise them.
+// Deliberately minimal: contiguous 64-byte-aligned storage and
+// bounds-checked accessors in debug builds.  The BLAS is src/la/kernels.h;
+// dot() and matvec() below are kept for LDA, whose fused-LLR bits depend on
+// their 4-lane summation order.
 #pragma once
 
 #include <cassert>
@@ -100,30 +100,10 @@ class Matrix {
   AlignedVec data_;
 };
 
-/// y += alpha * x
-void axpy(float alpha, std::span<const float> x, std::span<float> y) noexcept;
-
-/// Dot product.
+/// Dot product with four accumulator lanes.
 float dot(std::span<const float> a, std::span<const float> b) noexcept;
-
-/// Euclidean norm.
-float norm2(std::span<const float> a) noexcept;
-
-/// x *= alpha
-void scale(float alpha, std::span<float> x) noexcept;
 
 /// out = A * x  (A: m x n, x: n, out: m).  out may not alias x.
 void matvec(const Matrix& a, std::span<const float> x, std::span<float> out) noexcept;
-
-/// out = A^T * x (A: m x n, x: m, out: n).  out may not alias x.
-void matvec_transposed(const Matrix& a, std::span<const float> x,
-                       std::span<float> out) noexcept;
-
-/// C = A * B (A: m x k, B: k x n, C: m x n).  C may not alias A or B.
-void matmul(const Matrix& a, const Matrix& b, Matrix& c) noexcept;
-
-/// Rank-1 update: A += alpha * x * y^T (x: m, y: n, A: m x n).
-void ger(float alpha, std::span<const float> x, std::span<const float> y,
-         Matrix& a) noexcept;
 
 }  // namespace phonolid::util

@@ -310,11 +310,5 @@ TEST(LaKernels, ShapeMismatchThrows) {
                std::invalid_argument);
 }
 
-TEST(LaKernels, ActiveImplDefaultsToBlocked) {
-  // The test binary runs without PHONOLID_KERNEL set (tier1 exercises the
-  // generic path separately), so the blocked kernels must be the default.
-  EXPECT_EQ(active_impl(), KernelImpl::kBlocked);
-}
-
 }  // namespace
 }  // namespace phonolid::la

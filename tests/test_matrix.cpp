@@ -68,22 +68,6 @@ TEST(Blas, DotLongVectorMatchesNaive) {
   EXPECT_NEAR(dot(a, b), naive, 1e-2);
 }
 
-TEST(Blas, AxpyAccumulates) {
-  std::vector<float> x = {1, 2, 3};
-  std::vector<float> y = {10, 20, 30};
-  axpy(2.0f, x, y);
-  EXPECT_FLOAT_EQ(y[0], 12.0f);
-  EXPECT_FLOAT_EQ(y[1], 24.0f);
-  EXPECT_FLOAT_EQ(y[2], 36.0f);
-}
-
-TEST(Blas, ScaleAndNorm) {
-  std::vector<float> x = {3, 4};
-  EXPECT_FLOAT_EQ(norm2(x), 5.0f);
-  scale(2.0f, x);
-  EXPECT_FLOAT_EQ(norm2(x), 10.0f);
-}
-
 TEST(Blas, MatvecIdentity) {
   Matrix eye(3, 3);
   for (std::size_t i = 0; i < 3; ++i) eye(i, i) = 1.0f;
@@ -105,57 +89,6 @@ TEST(Blas, MatvecRectangular) {
   matvec(a, x, out);
   EXPECT_FLOAT_EQ(out[0], -2.0f);
   EXPECT_FLOAT_EQ(out[1], -2.0f);
-}
-
-TEST(Blas, MatvecTransposedMatchesManual) {
-  Matrix a(2, 3);
-  float v = 1.0f;
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) a(r, c) = v++;
-  }
-  std::vector<float> x = {1, 2}, out(3);
-  matvec_transposed(a, x, out);
-  // A^T x = [1+8, 2+10, 3+12]
-  EXPECT_FLOAT_EQ(out[0], 9.0f);
-  EXPECT_FLOAT_EQ(out[1], 12.0f);
-  EXPECT_FLOAT_EQ(out[2], 15.0f);
-}
-
-TEST(Blas, MatmulSmall) {
-  Matrix a(2, 2), b(2, 2), c;
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 3;
-  a(1, 1) = 4;
-  b(0, 0) = 5;
-  b(0, 1) = 6;
-  b(1, 0) = 7;
-  b(1, 1) = 8;
-  matmul(a, b, c);
-  EXPECT_FLOAT_EQ(c(0, 0), 19.0f);
-  EXPECT_FLOAT_EQ(c(0, 1), 22.0f);
-  EXPECT_FLOAT_EQ(c(1, 0), 43.0f);
-  EXPECT_FLOAT_EQ(c(1, 1), 50.0f);
-}
-
-TEST(Blas, MatmulRectangularShapes) {
-  Matrix a(3, 2, 1.0f), b(2, 4, 2.0f), c;
-  matmul(a, b, c);
-  ASSERT_EQ(c.rows(), 3u);
-  ASSERT_EQ(c.cols(), 4u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) EXPECT_FLOAT_EQ(c(i, j), 4.0f);
-  }
-}
-
-TEST(Blas, GerRankOneUpdate) {
-  Matrix a(2, 3, 0.0f);
-  std::vector<float> x = {1, 2};
-  std::vector<float> y = {3, 4, 5};
-  ger(2.0f, x, y, a);
-  EXPECT_FLOAT_EQ(a(0, 0), 6.0f);
-  EXPECT_FLOAT_EQ(a(0, 2), 10.0f);
-  EXPECT_FLOAT_EQ(a(1, 1), 16.0f);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -751,6 +752,27 @@ TEST(ReportDiff, SpanRegressionBeyondThresholdViolates) {
   // A speedup is never a violation, however large.
   const obs::Json fast = mini_report(1.0, 0.001, 0.15, 2376);
   EXPECT_FALSE(obs::diff_reports(base, fast, gated_options()).violated);
+}
+
+TEST(ReportDiff, ViolationLinesNameTheGateFlag) {
+  const obs::Json base = mini_report(10.0, 0.001, 0.15, 2376);
+  const obs::Json slow = mini_report(13.0, 0.001, 0.15, 2376);  // +30%
+  const std::string text =
+      obs::diff_reports(base, slow, gated_options()).format();
+  EXPECT_NE(text.find("violation: max-regress "), std::string::npos) << text;
+}
+
+TEST(ReportDiff, EachFlagSetsItsOwnOption) {
+  std::set<std::string_view> names;
+  std::vector<double obs::ReportDiffOptions::*> fields;
+  for (const obs::ReportDiffFlag& flag : obs::report_diff_flags()) {
+    EXPECT_TRUE(names.insert(flag.name).second) << flag.name;
+    for (const auto field : fields) EXPECT_NE(field, flag.field) << flag.name;
+    fields.push_back(flag.field);
+    EXPECT_FALSE(flag.help.empty()) << flag.name;
+  }
+  EXPECT_EQ(names.size(), 11u);  // ten gates and --min-span-s
+  EXPECT_EQ(names.count("min-span-s"), 1u);
 }
 
 TEST(ReportDiff, SubMinimumSpansAreNotGated) {

@@ -1,47 +1,19 @@
-// phonolid — command-line driver for the library.
-//
-//   phonolid corpus  [--scale S] [--seed N]         corpus statistics
-//   phonolid decode  [--frontend Q] [--utterance I] decode + lattice dump
-//   phonolid run     [--v N] [--mode m1|m2|both]    baseline vs DBA summary
-//   phonolid det     [--v N] [--points N]           DET series (CSV)
-//   phonolid votes                                  vote histogram (Table 1)
-//   phonolid export  [--trace T] [--prom P]         run pipeline, export
-//                                                   trace / Prometheus text
-//   phonolid explain <utt-id> [--ledger L]          why was this utterance
-//                                                   adopted/scored this way?
-//   phonolid diag    --ledger L [--report R]        quality diagnostics from
-//                                                   a decision ledger
-//   phonolid power   [--input report.json]          per-stage energy and
-//                                                   hardware-counter table
-//   phonolid flame   [--input report.json]          sampling-profiler top
-//                                                   table (self/total time)
-//   phonolid profile [--hz N] [--out f.folded] <command...>
-//                                                   run any command under the
-//                                                   CPU profiler
-//   phonolid report-diff base.json cur.json         compare two run reports
-//   phonolid freeze  --out bundle/                  train + freeze a model
-//                                                   bundle for serving
-//   phonolid serve   --bundle bundle/ [--port N]    micro-batching scoring
-//                                                   daemon over a bundle
-//   phonolid version                                schema/format versions
-//
-// Global flags: --scale quick|default|full, --seed <uint>,
-// --report out.json (structured JSON run report), --ledger out.jsonl
-// (decision ledger, deterministic JSONL).  PHONOLID_TRACE / PHONOLID_PROM
-// env vars additionally export a Perfetto trace / Prometheus metrics from
-// any command.
+// phonolid — the library's command-line tool.  Run it without
+// arguments for the usage text, which is generated from the flag table
+// below and the command table at the end of this file.
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <iterator>
 #include <memory>
-#include <set>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <csignal>
@@ -60,6 +32,7 @@
 #include "obs/profiler.h"
 #include "obs/report.h"
 #include "obs/report_diff.h"
+#include "util/flags.h"
 #include "util/math_util.h"
 #include "util/options.h"
 #include "util/thread_pool.h"
@@ -67,254 +40,169 @@
 namespace {
 
 using namespace phonolid;
+using enum util::FlagKind;
+using util::ParsedFlags;
 
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: phonolid <command> [flags]\n"
-      "  corpus       corpus statistics\n"
-      "  decode       decode one test utterance (--frontend N --utterance I)\n"
-      "  run          baseline vs DBA summary (--v N --mode m1|m2|both)\n"
-      "               run/decode stream each utterance through the chunked\n"
-      "               front end: --chunk-ms N sets the chunk size\n"
-      "               (bit-identical for any N), --stream-checkpoint-s S\n"
-      "               emits early LLR checkpoints every S seconds into the\n"
-      "               report's \"streaming\" section\n"
-      "  det          DET curve CSV for the baseline fusion (--points N)\n"
-      "  votes        vote histogram and Tr_DBA sizes\n"
-      "  export       run the pipeline and export observability artifacts:\n"
-      "               --trace out.trace.json  Chrome trace-event JSON\n"
-      "                                       (open in ui.perfetto.dev)\n"
-      "               --prom  out.prom        Prometheus text metrics\n"
-      "  explain      explain every DBA decision for one utterance:\n"
-      "               explain <utt-id> [--ledger l.jsonl]\n"
-      "               (without --ledger, runs the quick pipeline first;\n"
-      "               exits 2 when the id is unknown)\n"
-      "  diag         quality diagnostics from a decision ledger:\n"
-      "               diag --ledger l.jsonl [--report out.json]\n"
-      "               (DET/confusion/Cllr/adoption precision per round)\n"
-      "  power        per-stage energy / hardware-counter table:\n"
-      "               power [--scale S] [--cache-dir D]  run the pipeline\n"
-      "               power --input report.json          table from a report\n"
-      "               (energy source: PHONOLID_ENERGY=rapl|software|off,\n"
-      "               default auto = RAPL when readable, else software model)\n"
-      "  flame        sampling-profiler top table (self/total samples):\n"
-      "               flame [--scale S] [--cache-dir D]  profile a live run\n"
-      "               flame --input report.json          table from a report\n"
-      "  profile      run any command under the sampling CPU profiler:\n"
-      "               profile [--hz N] [--out out.folded] <command> [flags]\n"
-      "               prints the flame table after the run; --out writes\n"
-      "               folded stacks for flamegraph.pl / speedscope\n"
-      "  report-diff  compare two structured run reports:\n"
-      "               report-diff baseline.json current.json\n"
-      "                 [--max-regress pct] [--max-eer-delta x]\n"
-      "                 [--max-cavg-delta x] [--max-cllr-delta x]\n"
-      "                 [--max-adoption-precision-drop x]\n"
-      "                 [--max-energy-delta-pct pct] [--min-span-s s]\n"
-      "                 [--max-self-share-delta x]\n"
-      "                 [--max-serve-p99-regress pct]\n"
-      "                 [--max-serve-throughput-drop pct]\n"
-      "                 [--max-phase-p99-regress pct]\n"
-      "               exits 1 when a threshold is violated\n"
-      "  freeze       train and freeze a self-contained model bundle:\n"
-      "               freeze --out bundle/ [--v N] [--mode m1|m2|both]\n"
-      "               (front ends, VSM heads, fusion — servable without the\n"
-      "               training corpus; verify/inspect via MANIFEST.json)\n"
-      "  serve        scoring daemon over a frozen bundle:\n"
-      "               serve --bundle bundle/ [--port N] [--port-file f]\n"
-      "                 [--max-batch N] [--batch-window-ms W]\n"
-      "                 [--queue-depth N] [--queue-max-mb MB]\n"
-      "                 [--allow-swap 0|1] [--swap-root dir]\n"
-      "                 [--admin-port N] [--admin-port-file f]\n"
-      "                 [--slow-log N]\n"
-      "               (port 0 = kernel-assigned; SIGTERM drains gracefully;\n"
-      "               binary protocol in src/serve/protocol.h; the socket is\n"
-      "               loopback-only and unauthenticated — gate model swaps\n"
-      "               with --allow-swap 0 or confine them to --swap-root;\n"
-      "               --admin-port serves live GET /metrics /healthz\n"
-      "               /statusz /flamez over loopback HTTP)\n"
-      "  version      print schema/format versions and build flags\n"
-      "  pipeline     artifact-store maintenance:\n"
-      "               pipeline status [--cache-dir D]  entry count + bytes\n"
-      "               pipeline gc     [--cache-dir D] [--max-bytes N]\n"
-      "                                               drop corrupt/stale\n"
-      "                                               entries + orphan temps;\n"
-      "                                               --max-bytes also evicts\n"
-      "                                               oldest entries beyond\n"
-      "                                               the byte budget\n"
-      "global flags: --scale quick|default|full  --seed N\n"
-      "              --report out.json  (corpus/decode/run/det/votes: write\n"
-      "              a structured JSON run report)\n"
-      "              --ledger out.jsonl  (run/det/votes/export/explain: write\n"
-      "              the per-utterance decision ledger, deterministic JSONL)\n"
-      "              --cache-dir D  persist stage artifacts (front-end\n"
-      "              models, supervectors, VSMs) so re-runs skip training\n"
-      "              and decoding; $PHONOLID_CACHE is the env fallback\n"
-      "env: PHONOLID_TRACE=t.json PHONOLID_PROM=m.prom  record and export a\n"
-      "     flight-recorder trace / Prometheus metrics from any command\n"
-      "     PHONOLID_PROFILE=cpu PHONOLID_PROFILE_HZ=N  sample CPU stacks\n"
-      "     PHONOLID_PROFILE_OUT=out.folded  write folded stacks at exit\n");
+/// Every flag of every command, declared once; report-diff's come from its
+/// gate table.  Values are checked against these rows as they are parsed.
+const std::vector<util::FlagSpec>& flag_table() {
+  static const std::vector<util::FlagSpec> table = [] {
+    std::vector<util::FlagSpec> t = {
+        {"scale", "quick|default|full", "corpus scale ($PHONOLID_SCALE)",
+         kChoice},
+        {"seed", "N", "master seed ($PHONOLID_SEED, else 20090704)", kInt, 0},
+        {"report", "out.json", "write a structured JSON run report"},
+        {"ledger", "l.jsonl",
+         "decision ledger (JSONL): run/det/votes/export write it, "
+         "explain/diag read it"},
+        {"cache-dir", "D",
+         "artifact store, so re-runs skip training and decoding "
+         "($PHONOLID_CACHE)"},
+        {"chunk-ms", "N", "stream audio in N ms chunks (bit-identical)", kInt,
+         1},
+        {"stream-checkpoint-s", "S",
+         "early LLR checkpoints every S seconds, in the report", kNumber,
+         util::kPositive},
+        {"frontend", "Q", "front end to decode (default 0)", kInt, 0},
+        {"utterance", "I", "test utterance, modulo the test set (default 0)",
+         kInt, 0},
+        {"v", "V", "DBA vote threshold, at most the front-end count "
+         "(default 3)", kInt, 1},
+        {"mode", "m1|m2|both", "DBA re-training mode (default both)", kChoice},
+        {"points", "N", "DET points per tier; 0 or 1 = all (default 50)", kInt,
+         0},
+        {"trace", "t.json", "write Chrome trace-event JSON (ui.perfetto.dev)"},
+        {"prom", "m.prom", "write Prometheus text metrics"},
+        {"input", "report.json", "render the table from a saved run report"},
+        {"out", "path", "freeze: bundle directory; profile: folded stacks"},
+        {"hz", "N", "sampling rate ($PHONOLID_PROFILE_HZ, else 99)", kInt, 1,
+         10000},
+        {"max-bytes", "N", "gc: evict oldest entries beyond N bytes (0 = off)",
+         kInt, 0},
+        {"bundle", "dir", "the frozen model bundle to serve"},
+        {"port", "N", "listen port on 127.0.0.1 (0 = kernel-assigned)", kInt, 0,
+         65535},
+        {"port-file", "f", "write the bound port to f"},
+        {"max-batch", "N", "micro-batch size cap (default 32)", kInt, 1},
+        {"batch-window-ms", "W", "co-arrival wait per batch (default 2)",
+         kNumber, 0},
+        {"queue-depth", "N", "queue bound in requests (default 256)", kInt, 1},
+        {"queue-max-mb", "MB", "queue bound in MB of PCM (default 256)", kInt,
+         1, 1 << 20},
+        {"allow-swap", "B", "accept model swaps (default 1)", kInt, 0, 1},
+        {"swap-root", "dir", "confine model swaps to bundles under dir"},
+        {"admin-port", "N",
+         "HTTP /metrics /healthz /statusz /flamez (0 = kernel-assigned, "
+         "-1 = off, the default)",
+         kInt, -1, 65535},
+        {"admin-port-file", "f", "write the bound admin port to f"},
+        {"slow-log", "N", "slowest requests kept for /statusz (default 8)",
+         kInt, 0},
+    };
+    for (const obs::ReportDiffFlag& flag : obs::report_diff_flags()) {
+      t.push_back({flag.name, flag.value, flag.help, kNumber, 0.0});
+    }
+    return t;
+  }();
+  return table;
 }
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-  std::vector<std::string> positionals;
+constexpr const char* kTierNames[] = {"30s", "10s", "3s"};
 
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  /// Strict integer parse: any junk ("3x", "", "1e3") is a hard error, not a
-  /// silent 0 — a mistyped --v or --seed must not quietly change the run.
-  [[nodiscard]] long get_int(const std::string& key, long fallback) const {
-    const auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    const std::string& text = it->second;
-    long value = 0;
-    const char* begin = text.data();
-    const char* end = begin + text.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc() || ptr != end || text.empty()) {
-      std::fprintf(stderr, "error: flag --%s expects an integer, got '%s'\n",
-                   key.c_str(), text.c_str());
-      std::exit(2);
-    }
-    return value;
-  }
-  /// Same strictness for floating-point flags (report-diff thresholds).
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const {
-    const auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    const std::string& text = it->second;
-    double value = 0.0;
-    const char* begin = text.data();
-    const char* end = begin + text.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc() || ptr != end || text.empty()) {
-      std::fprintf(stderr, "error: flag --%s expects a number, got '%s'\n",
-                   key.c_str(), text.c_str());
-      std::exit(2);
-    }
-    return value;
-  }
-};
-
-/// Every flag each command accepts; anything else is a usage error, not a
-/// silent no-op (a typoed --sclae must not quietly run at default scale).
-const std::map<std::string, std::set<std::string>>& command_flags() {
-  static const std::map<std::string, std::set<std::string>> flags = {
-      {"corpus", {"scale", "seed", "report", "cache-dir"}},
-      {"decode",
-       {"scale", "seed", "report", "frontend", "utterance", "cache-dir",
-        "chunk-ms", "stream-checkpoint-s"}},
-      {"run",
-       {"scale", "seed", "report", "v", "mode", "cache-dir", "ledger",
-        "chunk-ms", "stream-checkpoint-s"}},
-      {"det", {"scale", "seed", "report", "points", "cache-dir", "ledger"}},
-      {"votes", {"scale", "seed", "report", "cache-dir", "ledger"}},
-      {"export", {"scale", "seed", "v", "trace", "prom", "cache-dir", "ledger"}},
-      {"explain", {"scale", "seed", "v", "cache-dir", "ledger"}},
-      {"diag", {"ledger", "report"}},
-      {"power", {"scale", "seed", "report", "cache-dir", "input"}},
-      {"flame", {"scale", "seed", "report", "cache-dir", "input"}},
-      {"report-diff",
-       {"max-regress", "max-eer-delta", "max-cavg-delta", "max-cllr-delta",
-        "max-adoption-precision-drop", "max-energy-delta-pct", "min-span-s",
-        "max-self-share-delta", "max-serve-p99-regress",
-        "max-serve-throughput-drop", "max-phase-p99-regress"}},
-      {"pipeline", {"cache-dir", "max-bytes"}},
-      {"freeze", {"scale", "seed", "out", "v", "mode", "cache-dir", "report"}},
-      {"serve",
-       {"bundle", "port", "port-file", "max-batch", "batch-window-ms",
-        "queue-depth", "queue-max-mb", "allow-swap", "swap-root",
-        "admin-port", "admin-port-file", "slow-log"}},
-      {"version", {}},
-  };
-  return flags;
-}
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc >= 2 && argv[1][0] != '-') args.command = argv[1];
-  const auto known = command_flags().find(args.command);
-  if (!args.command.empty() && known == command_flags().end()) {
-    std::fprintf(stderr, "error: unknown command '%s'\n",
-                 args.command.c_str());
-    usage();
-    std::exit(2);
-  }
-  for (int i = 2; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      const std::string key = token.substr(2);
-      if (known == command_flags().end() || known->second.count(key) == 0) {
-        std::fprintf(stderr, "error: unknown flag --%s for command '%s'\n",
-                     key.c_str(), args.command.c_str());
-        usage();
-        std::exit(2);
-      }
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: flag --%s expects a value\n",
-                     key.c_str());
-        usage();
-        std::exit(2);
-      }
-      args.flags[key] = argv[++i];
-    } else {
-      args.positionals.push_back(token);
-    }
-  }
-  return args;
-}
-
-core::ExperimentConfig config_from(const Args& args) {
-  const std::string scale_text =
-      args.get("scale", util::to_string(util::scale_from_env()));
-  if (scale_text != "quick" && scale_text != "default" &&
-      scale_text != "full") {
-    std::fprintf(stderr,
-                 "error: flag --scale expects quick|default|full, got '%s'\n",
-                 scale_text.c_str());
-    std::exit(2);
-  }
-  const auto scale = util::parse_scale(scale_text);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<long>(util::master_seed())));
+core::ExperimentConfig config_from(const ParsedFlags& flags) {
+  const auto scale = util::parse_scale(
+      flags.text("scale", util::to_string(util::scale_from_env())));
+  const auto seed = static_cast<std::uint64_t>(flags.integer(
+      "seed", static_cast<std::int64_t>(util::master_seed())));
   auto cfg = core::ExperimentConfig::preset(scale, seed);
-  cfg.report_path = args.get("report", "");
-  cfg.cache_dir = args.get("cache-dir", "");
-  cfg.ledger_path = args.get("ledger", "");
-  if (args.flags.count("chunk-ms") != 0) {
-    const long ms = args.get_int("chunk-ms", 0);
-    if (ms <= 0) {
-      std::fprintf(stderr,
-                   "error: flag --chunk-ms expects a positive integer, got "
-                   "'%ld'\n",
-                   ms);
-      std::exit(2);
-    }
-    cfg.batch_chunk_samples = static_cast<std::size_t>(
-        static_cast<double>(ms) * cfg.corpus.sample_rate / 1000.0);
-    if (cfg.batch_chunk_samples == 0) cfg.batch_chunk_samples = 1;
+  cfg.report_path = flags.text("report");
+  cfg.cache_dir = flags.text("cache-dir");
+  cfg.ledger_path = flags.text("ledger");
+  if (flags.has("chunk-ms")) {
+    cfg.batch_chunk_samples = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               static_cast<double>(flags.integer("chunk-ms", 0)) *
+               cfg.corpus.sample_rate / 1000.0));
   }
   return cfg;
 }
 
-/// --stream-checkpoint-s: checkpoint cadence in seconds (0 = off; anything
-/// non-positive when the flag IS given is a usage error).
-double checkpoint_interval_from(const Args& args) {
-  if (args.flags.count("stream-checkpoint-s") == 0) return 0.0;
-  const double s = args.get_double("stream-checkpoint-s", 0.0);
-  if (s <= 0.0) {
-    std::fprintf(stderr,
-                 "error: flag --stream-checkpoint-s expects a positive "
-                 "number of seconds\n");
-    std::exit(2);
+/// --v, checked against the configured front ends before any work.
+std::size_t min_votes(const ParsedFlags& flags,
+                      const core::ExperimentConfig& cfg) {
+  const auto subsystems = static_cast<std::int64_t>(cfg.frontends.size());
+  return static_cast<std::size_t>(flags.integer_at_most(
+      "v", std::min<std::int64_t>(3, subsystems), subsystems));
+}
+
+std::vector<const core::SubsystemScores*> pointers(
+    const std::vector<core::SubsystemScores>& blocks) {
+  std::vector<const core::SubsystemScores*> out;
+  for (const auto& b : blocks) out.push_back(&b);
+  return out;
+}
+
+core::EvalResult evaluate_baseline(const core::Experiment& exp) {
+  return exp.evaluate(pointers(exp.baseline_scores()));
+}
+
+/// The paper's DBA recipe: re-train every front end's VSM on Tr_DBA(V)
+/// with M1 and/or M2, and weight each re-trained block by its subsystem's
+/// count in `selection` (Eq. 15).  `run` evaluates it and `freeze`
+/// snapshots it, so a frozen bundle scores bit-identically to the run.
+struct DbaFusion {
+  std::vector<core::SubsystemScores> scores;  // M1 blocks, then M2 blocks
+  std::vector<double> weights;
+};
+
+DbaFusion run_dba_recipe(const core::Experiment& exp,
+                         const core::TrdbaSelection& selection, std::size_t v,
+                         std::string_view mode,
+                         std::vector<svm::VsmModel>* models = nullptr) {
+  DbaFusion out;
+  for (const auto& [name, dba_mode] : {std::pair{"m1", core::DbaMode::kM1},
+                                        std::pair{"m2", core::DbaMode::kM2}}) {
+    if (mode != name && mode != "both") continue;
+    auto blocks = exp.run_dba(v, dba_mode, models);
+    std::move(blocks.begin(), blocks.end(), std::back_inserter(out.scores));
+    for (std::size_t c : selection.subsystem_fit_counts) {
+      out.weights.push_back(static_cast<double>(c));
+    }
   }
-  return s;
+  return out;
+}
+
+/// Build the experiment, then run the baseline fusion and one M1 DBA round:
+/// the pipeline `export` traces and `explain` explains without a ledger.
+std::unique_ptr<core::Experiment> run_baseline_and_m1(
+    const ParsedFlags& flags) {
+  const auto cfg = config_from(flags);
+  const std::size_t v = min_votes(flags, cfg);
+  auto exp = core::Experiment::build(cfg);
+  (void)evaluate_baseline(*exp);
+  const auto m1 = exp->run_dba(v, core::DbaMode::kM1);
+  (void)exp->evaluate(pointers(m1));
+  return exp;
+}
+
+obs::ReportMeta report_meta(const char* command, std::string scale,
+                            std::uint64_t seed) {
+  return {.tool = "phonolid", .command = command, .scale = std::move(scale),
+          .seed = seed, .threads = util::ThreadPool::global().num_threads()};
+}
+
+/// --ledger and --report for a command that built an Experiment: `results`
+/// becomes the report's "results" section, followed by `streaming` unless
+/// it is null.
+void write_outputs(const core::Experiment& exp, const char* command,
+                   obs::Json results, obs::Json streaming = obs::Json()) {
+  const core::ExperimentConfig& cfg = exp.config();
+  if (!cfg.ledger_path.empty()) exp.write_ledger(cfg.ledger_path);
+  if (cfg.report_path.empty()) return;
+  obs::Json extra = obs::Json::object();
+  extra["results"] = std::move(results);
+  if (!streaming.is_null()) extra["streaming"] = std::move(streaming);
+  exp.write_report(cfg.report_path, command, std::move(extra));
 }
 
 obs::Json checkpoints_json(const std::vector<core::StreamingCheckpoint>& cps) {
@@ -334,32 +222,39 @@ obs::Json checkpoints_json(const std::vector<core::StreamingCheckpoint>& cps) {
   return out;
 }
 
+/// The "streaming" report section's header; the caller adds the payload.
+obs::Json streaming_json(const core::ExperimentConfig& cfg,
+                         double checkpoint_s) {
+  obs::Json out = obs::Json::object();
+  out["version"] = obs::Json(1);
+  out["chunk_samples"] = obs::Json(cfg.batch_chunk_samples);
+  out["checkpoint_interval_s"] = obs::Json(checkpoint_s);
+  return out;
+}
+
 obs::Json tier_metrics_json(const core::EvalResult& result) {
-  static const char* tiers[] = {"30s", "10s", "3s"};
   obs::Json out = obs::Json::object();
   for (std::size_t t = 0; t < corpus::kNumTiers; ++t) {
     obs::Json entry = obs::Json::object();
     entry["eer"] = obs::Json(result.tier[t].eer);
     entry["cavg"] = obs::Json(result.tier[t].cavg);
-    out[tiers[t]] = std::move(entry);
+    out[kTierNames[t]] = std::move(entry);
   }
   return out;
 }
 
-/// Run report for commands that don't hold a full Experiment (corpus,
-/// decode); same schema as Experiment::write_report minus its sections.
+/// --report for commands that don't hold a full Experiment (corpus, decode,
+/// freeze); same schema as Experiment::write_report minus its sections.
 void write_plain_report(const core::ExperimentConfig& cfg,
-                        const std::string& command, obs::Json results) {
-  obs::ReportMeta meta;
-  meta.tool = "phonolid";
-  meta.command = command;
-  meta.scale = util::to_string(cfg.scale);
-  meta.seed = cfg.seed;
-  meta.threads = util::ThreadPool::global().num_threads();
+                        const char* command, obs::Json results) {
+  if (cfg.report_path.empty()) return;
   obs::Json extra = obs::Json::object();
   extra["results"] = std::move(results);
-  obs::write_report_file(cfg.report_path,
-                         obs::build_report(meta, std::move(extra)));
+  obs::write_report_file(
+      cfg.report_path,
+      obs::build_report(
+          report_meta(command, util::to_string(cfg.scale), cfg.seed),
+          std::move(extra)));
 }
 
 obs::Json load_json_file(const std::string& path) {
@@ -376,8 +271,8 @@ obs::Json load_json_file(const std::string& path) {
   }
 }
 
-int cmd_corpus(const Args& args) {
-  const auto cfg = config_from(args);
+int cmd_corpus(const ParsedFlags& flags) {
+  const auto cfg = config_from(flags);
   const auto corpus = corpus::LreCorpus::build(cfg.corpus);
   std::printf("phone inventory : %zu universal phones\n",
               corpus.inventory().size());
@@ -419,30 +314,25 @@ int cmd_corpus(const Args& args) {
   std::printf("bigram distance : min %.3f  max %.3f (pairwise TV)\n", min_dist,
               max_dist);
 
-  if (!cfg.report_path.empty()) {
-    obs::Json results = obs::Json::object();
-    results["phone_inventory"] = obs::Json(corpus.inventory().size());
-    results["target_languages"] = obs::Json(corpus.num_target_languages());
-    results["native_languages"] = obs::Json(corpus.native_languages().size());
-    results["vsm_train_utterances"] = obs::Json(corpus.vsm_train().size());
-    results["dev_utterances"] = obs::Json(corpus.dev().size());
-    results["test_utterances"] = obs::Json(corpus.test().size());
-    results["test_tiers"] = std::move(tiers_json);
-    results["bigram_distance_min"] = obs::Json(min_dist);
-    results["bigram_distance_max"] = obs::Json(max_dist);
-    write_plain_report(cfg, "corpus", std::move(results));
-  }
+  obs::Json results = obs::Json::object();
+  results["phone_inventory"] = obs::Json(corpus.inventory().size());
+  results["target_languages"] = obs::Json(corpus.num_target_languages());
+  results["native_languages"] = obs::Json(corpus.native_languages().size());
+  results["vsm_train_utterances"] = obs::Json(corpus.vsm_train().size());
+  results["dev_utterances"] = obs::Json(corpus.dev().size());
+  results["test_utterances"] = obs::Json(corpus.test().size());
+  results["test_tiers"] = std::move(tiers_json);
+  results["bigram_distance_min"] = obs::Json(min_dist);
+  results["bigram_distance_max"] = obs::Json(max_dist);
+  write_plain_report(cfg, "corpus", std::move(results));
   return 0;
 }
 
-int cmd_decode(const Args& args) {
-  auto cfg = config_from(args);
-  const auto q = static_cast<std::size_t>(args.get_int("frontend", 0));
-  if (q >= cfg.frontends.size()) {
-    std::fprintf(stderr, "error: frontend %zu out of range (have %zu)\n", q,
-                 cfg.frontends.size());
-    return 1;
-  }
+int cmd_decode(const ParsedFlags& flags) {
+  const auto cfg = config_from(flags);
+  const auto q = static_cast<std::size_t>(flags.integer_at_most(
+      "frontend", 0, static_cast<std::int64_t>(cfg.frontends.size()) - 1));
+  const double checkpoint_s = flags.number("stream-checkpoint-s", 0.0);
   const auto corpus = corpus::LreCorpus::build(cfg.corpus);
   // Pull the trained front-end from the artifact store when possible —
   // decoding one utterance needs no TFLLR fit, so a warm decode skips all
@@ -465,9 +355,8 @@ int cmd_decode(const Args& args) {
   const auto sub =
       core::Subsystem::assemble(corpus, cfg.frontends[q], std::move(fe));
   sub->set_batch_chunk_samples(cfg.batch_chunk_samples);
-  const double checkpoint_s = checkpoint_interval_from(args);
   const auto utt_index =
-      static_cast<std::size_t>(args.get_int("utterance", 0)) %
+      static_cast<std::size_t>(flags.integer("utterance", 0)) %
       corpus.test().size();
   const auto& utt = corpus.test()[utt_index];
   std::printf("front-end : %s\n", sub->name().c_str());
@@ -504,81 +393,51 @@ int cmd_decode(const Args& args) {
     std::printf("  ... (%zu more)\n", lattice.edges().size() - show);
   }
 
-  if (!cfg.report_path.empty()) {
-    obs::Json results = obs::Json::object();
-    results["frontend"] = obs::Json(sub->name());
-    results["frontend_index"] = obs::Json(q);
-    results["utterance_index"] = obs::Json(utt_index);
-    results["utterance_language"] = obs::Json(utt.language);
-    results["utterance_tier"] = obs::Json(corpus::to_string(utt.tier));
-    results["lattice_frames"] = obs::Json(lattice.num_frames());
-    results["lattice_edges"] = obs::Json(lattice.edges().size());
-    results["best_path_length"] = obs::Json(lattice.best_path().size());
-    if (checkpoint_s > 0.0) {
-      obs::Json streaming = obs::Json::object();
-      streaming["version"] = obs::Json(1);
-      streaming["chunk_samples"] = obs::Json(cfg.batch_chunk_samples);
-      streaming["checkpoint_interval_s"] = obs::Json(checkpoint_s);
-      streaming["checkpoints"] = checkpoints_json(checkpoints);
-      results["streaming"] = std::move(streaming);
-    }
-    write_plain_report(cfg, "decode", std::move(results));
+  obs::Json results = obs::Json::object();
+  results["frontend"] = obs::Json(sub->name());
+  results["frontend_index"] = obs::Json(q);
+  results["utterance_index"] = obs::Json(utt_index);
+  results["utterance_language"] = obs::Json(utt.language);
+  results["utterance_tier"] = obs::Json(corpus::to_string(utt.tier));
+  results["lattice_frames"] = obs::Json(lattice.num_frames());
+  results["lattice_edges"] = obs::Json(lattice.edges().size());
+  results["best_path_length"] = obs::Json(lattice.best_path().size());
+  if (checkpoint_s > 0.0) {
+    obs::Json streaming = streaming_json(cfg, checkpoint_s);
+    streaming["checkpoints"] = checkpoints_json(checkpoints);
+    results["streaming"] = std::move(streaming);
   }
+  write_plain_report(cfg, "decode", std::move(results));
+
   return 0;
 }
 
-int cmd_run(const Args& args) {
-  const auto cfg = config_from(args);
+int cmd_run(const ParsedFlags& flags) {
+  const auto cfg = config_from(flags);
+  const std::size_t v = min_votes(flags, cfg);
+  const std::string mode = flags.text("mode", "both");
+  const double checkpoint_s = flags.number("stream-checkpoint-s", 0.0);
   const auto exp = core::Experiment::build(cfg);
-  const auto v = static_cast<std::size_t>(
-      args.get_int("v", static_cast<long>(std::min<std::size_t>(3, exp->num_subsystems()))));
-  const std::string mode = args.get("mode", "both");
-
-  std::vector<const core::SubsystemScores*> blocks;
-  for (const auto& b : exp->baseline_scores()) blocks.push_back(&b);
-  const auto baseline = exp->evaluate(blocks);
+  const auto baseline = evaluate_baseline(*exp);
 
   const auto selection = exp->select(v);
   std::printf("Tr_DBA(V=%zu): %zu utterances, label error %.2f%%\n", v,
               selection.utt_index.size(),
               100.0 * core::selection_error_rate(selection, exp->test_labels()));
-
-  std::vector<core::SubsystemScores> m1, m2;
-  std::vector<const core::SubsystemScores*> dba_blocks;
-  std::vector<double> weights;
-  if (mode == "m1" || mode == "both") {
-    m1 = exp->run_dba(v, core::DbaMode::kM1);
-    for (const auto& b : m1) dba_blocks.push_back(&b);
-    for (std::size_t c : selection.subsystem_fit_counts) {
-      weights.push_back(static_cast<double>(c));
-    }
-  }
-  if (mode == "m2" || mode == "both") {
-    m2 = exp->run_dba(v, core::DbaMode::kM2);
-    for (const auto& b : m2) dba_blocks.push_back(&b);
-    for (std::size_t c : selection.subsystem_fit_counts) {
-      weights.push_back(static_cast<double>(c));
-    }
-  }
-  if (dba_blocks.empty()) {
-    std::fprintf(stderr, "error: --mode must be m1, m2 or both\n");
-    return 1;
-  }
-  const auto dba = exp->evaluate(dba_blocks, std::move(weights));
+  const DbaFusion fused = run_dba_recipe(*exp, selection, v, mode);
+  const auto dba = exp->evaluate(pointers(fused.scores), fused.weights);
 
   std::printf("\n%-8s %18s %18s\n", "tier", "baseline EER/Cavg",
               "DBA EER/Cavg");
-  static const char* tiers[] = {"30s", "10s", "3s"};
   for (std::size_t t = 0; t < corpus::kNumTiers; ++t) {
-    std::printf("%-8s %8.2f / %-7.2f %8.2f / %-7.2f\n", tiers[t],
+    std::printf("%-8s %8.2f / %-7.2f %8.2f / %-7.2f\n", kTierNames[t],
                 100.0 * baseline.tier[t].eer, 100.0 * baseline.tier[t].cavg,
                 100.0 * dba.tier[t].eer, 100.0 * dba.tier[t].cavg);
   }
 
   // Early-decision demonstration: re-stream the longest-tier test
   // utterances with per-checkpoint LLRs from the baseline VSMs.
-  const double checkpoint_s = checkpoint_interval_from(args);
-  obs::Json streaming_section = obs::Json::object();
+  obs::Json streaming_section;
   if (checkpoint_s > 0.0) {
     const auto& corpus = exp->corpus();
     const auto tier30 =
@@ -632,67 +491,46 @@ int cmd_run(const Args& args) {
       utt_json["subsystems"] = std::move(subs_json);
       utts_json.push_back(std::move(utt_json));
     }
-    streaming_section["version"] = obs::Json(1);
-    streaming_section["chunk_samples"] = obs::Json(cfg.batch_chunk_samples);
-    streaming_section["checkpoint_interval_s"] = obs::Json(checkpoint_s);
+    streaming_section = streaming_json(cfg, checkpoint_s);
     streaming_section["utterances"] = std::move(utts_json);
   }
 
-  if (!cfg.ledger_path.empty()) exp->write_ledger(cfg.ledger_path);
-  if (!cfg.report_path.empty()) {
-    obs::Json results = obs::Json::object();
-    results["baseline"] = tier_metrics_json(baseline);
-    results["dba"] = tier_metrics_json(dba);
-    results["mode"] = obs::Json(mode);
-    results["min_votes"] = obs::Json(v);
-    obs::Json extra = obs::Json::object();
-    extra["results"] = std::move(results);
-    if (checkpoint_s > 0.0) {
-      extra["streaming"] = std::move(streaming_section);
-    }
-    exp->write_report(cfg.report_path, "run", std::move(extra));
-  }
+  obs::Json results = obs::Json::object();
+  results["baseline"] = tier_metrics_json(baseline);
+  results["dba"] = tier_metrics_json(dba);
+  results["mode"] = obs::Json(mode);
+  results["min_votes"] = obs::Json(v);
+  write_outputs(*exp, "run", std::move(results), std::move(streaming_section));
   return 0;
 }
 
-int cmd_det(const Args& args) {
-  const auto cfg = config_from(args);
-  const auto exp = core::Experiment::build(cfg);
-  const auto points = static_cast<std::size_t>(args.get_int("points", 50));
-
-  std::vector<const core::SubsystemScores*> blocks;
-  for (const auto& b : exp->baseline_scores()) blocks.push_back(&b);
-  const auto result = exp->evaluate(blocks);
+int cmd_det(const ParsedFlags& flags) {
+  const auto points = static_cast<std::size_t>(flags.integer("points", 50));
+  const auto exp = core::Experiment::build(config_from(flags));
+  const auto result = evaluate_baseline(*exp);
 
   std::printf("tier,p_fa,p_miss,probit_fa,probit_miss\n");
-  static const char* tiers[] = {"30s", "10s", "3s"};
   for (std::size_t t = 0; t < corpus::kNumTiers; ++t) {
     for (const auto& p : eval::thin_det_curve(result.det[t], points)) {
-      std::printf("%s,%.6f,%.6f,%.4f,%.4f\n", tiers[t], p.p_fa, p.p_miss,
+      std::printf("%s,%.6f,%.6f,%.4f,%.4f\n", kTierNames[t], p.p_fa, p.p_miss,
                   util::probit(std::max(p.p_fa, 1e-6)),
                   util::probit(std::max(p.p_miss, 1e-6)));
     }
   }
 
-  if (!cfg.ledger_path.empty()) exp->write_ledger(cfg.ledger_path);
-  if (!cfg.report_path.empty()) {
-    obs::Json results = obs::Json::object();
-    results["baseline"] = tier_metrics_json(result);
-    obs::Json det = obs::Json::object();
-    for (std::size_t t = 0; t < corpus::kNumTiers; ++t) {
-      det[tiers[t]] = obs::Json(result.det[t].size());
-    }
-    results["det_points"] = std::move(det);
-    obs::Json extra = obs::Json::object();
-    extra["results"] = std::move(results);
-    exp->write_report(cfg.report_path, "det", std::move(extra));
+  obs::Json results = obs::Json::object();
+  results["baseline"] = tier_metrics_json(result);
+  obs::Json det = obs::Json::object();
+  for (std::size_t t = 0; t < corpus::kNumTiers; ++t) {
+    det[kTierNames[t]] = obs::Json(result.det[t].size());
   }
+  results["det_points"] = std::move(det);
+  write_outputs(*exp, "det", std::move(results));
   return 0;
 }
 
-int cmd_votes(const Args& args) {
-  const auto cfg = config_from(args);
-  const auto exp = core::Experiment::build(cfg);
+int cmd_votes(const ParsedFlags& flags) {
+  const auto exp = core::Experiment::build(config_from(flags));
   const auto& votes = exp->votes();
   std::vector<std::size_t> hist(exp->num_subsystems() + 1, 0);
   for (std::size_t j = 0; j < votes.num_utts; ++j) {
@@ -711,11 +549,10 @@ int cmd_votes(const Args& args) {
   obs::Json thresholds = obs::Json::array();
   for (std::size_t v = exp->num_subsystems(); v >= 1; --v) {
     const auto sel = exp->select(v);
-    std::printf("  V=%zu: %5zu adopted, label error %.2f%%\n", v,
-                sel.utt_index.size(),
-                100.0 * core::selection_error_rate(sel, exp->test_labels()));
     const double label_error =
         core::selection_error_rate(sel, exp->test_labels());
+    std::printf("  V=%zu: %5zu adopted, label error %.2f%%\n", v,
+                sel.utt_index.size(), 100.0 * label_error);
     obs::Json entry = obs::Json::object();
     entry["min_votes"] = obs::Json(v);
     entry["adopted"] = obs::Json(sel.utt_index.size());
@@ -723,49 +560,31 @@ int cmd_votes(const Args& args) {
     thresholds.push_back(std::move(entry));
   }
 
-  if (!cfg.ledger_path.empty()) exp->write_ledger(cfg.ledger_path);
-  if (!cfg.report_path.empty()) {
-    obs::Json histogram = obs::Json::array();
-    for (std::size_t c = 0; c < hist.size(); ++c) {
-      histogram.push_back(obs::Json(hist[c]));
-    }
-    obs::Json results = obs::Json::object();
-    results["max_votes_histogram"] = std::move(histogram);
-    results["trdba_per_threshold"] = std::move(thresholds);
-    obs::Json extra = obs::Json::object();
-    extra["results"] = std::move(results);
-    exp->write_report(cfg.report_path, "votes", std::move(extra));
+  obs::Json histogram = obs::Json::array();
+  for (std::size_t c = 0; c < hist.size(); ++c) {
+    histogram.push_back(obs::Json(hist[c]));
   }
+  obs::Json results = obs::Json::object();
+  results["max_votes_histogram"] = std::move(histogram);
+  results["trdba_per_threshold"] = std::move(thresholds);
+  write_outputs(*exp, "votes", std::move(results));
   return 0;
 }
 
-int cmd_export(const Args& args) {
-  const std::string trace_path = args.get("trace", "");
-  const std::string prom_path = args.get("prom", "");
+int cmd_export(const ParsedFlags& flags) {
+  const std::string trace_path = flags.text("trace");
+  const std::string prom_path = flags.text("prom");
   if (trace_path.empty() && prom_path.empty()) {
-    std::fprintf(stderr, "error: export needs --trace and/or --prom\n");
-    usage();
-    return 2;
+    throw util::UsageError("export needs --trace and/or --prom");
   }
   if (!trace_path.empty() && !obs::FlightRecorder::enabled()) {
     obs::FlightRecorder::enable();
     obs::FlightRecorder::set_thread_name("main");
   }
-  // Exercise the full pipeline — build, baseline fusion, one M1 DBA round —
-  // so the exported timeline covers decode, VSM training, DBA, and fusion.
-  const auto cfg = config_from(args);
-  const auto exp = core::Experiment::build(cfg);
-  const auto v = static_cast<std::size_t>(args.get_int(
-      "v", static_cast<long>(std::min<std::size_t>(3, exp->num_subsystems()))));
-  std::vector<const core::SubsystemScores*> blocks;
-  for (const auto& b : exp->baseline_scores()) blocks.push_back(&b);
-  (void)exp->evaluate(blocks);
-  const auto m1 = exp->run_dba(v, core::DbaMode::kM1);
-  std::vector<const core::SubsystemScores*> dba_blocks;
-  for (const auto& b : m1) dba_blocks.push_back(&b);
-  (void)exp->evaluate(dba_blocks);
-
-  if (!cfg.ledger_path.empty()) exp->write_ledger(cfg.ledger_path);
+  // The full pipeline, so the exported timeline covers decode, VSM
+  // training, DBA, and fusion.
+  const auto exp = run_baseline_and_m1(flags);
+  write_outputs(*exp, "export", obs::Json());
   if (!trace_path.empty()) {
     obs::write_chrome_trace(trace_path);
     std::printf("wrote Chrome trace to %s (open in ui.perfetto.dev)\n",
@@ -778,77 +597,57 @@ int cmd_export(const Args& args) {
   return 0;
 }
 
-int cmd_explain(const Args& args) {
-  if (args.positionals.size() != 1) {
-    std::fprintf(stderr,
-                 "error: explain needs exactly one utterance id: "
-                 "explain <utt-id> [--ledger l.jsonl]\n");
-    usage();
-    return 2;
+/// A --ledger file, or nullopt after reporting why it cannot be read.
+std::optional<obs::DecisionLedger> read_ledger(const std::string& path) {
+  try {
+    return obs::DecisionLedger::read_jsonl_file(path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return std::nullopt;
   }
-  const std::string& text = args.positionals[0];
+}
+
+int cmd_explain(const ParsedFlags& flags) {
+  if (flags.positionals.size() != 1) {
+    throw util::UsageError(
+        "explain needs exactly one utterance id: explain <utt-id> "
+        "[--ledger l.jsonl]");
+  }
+  const std::string& text = flags.positionals[0];
   std::uint64_t id = 0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, id);
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, id);
   if (ec != std::errc() || ptr != end || text.empty()) {
-    std::fprintf(stderr, "error: explain expects an utterance id, got '%s'\n",
-                 text.c_str());
-    return 2;
+    throw util::UsageError("explain expects an utterance id, got '" + text +
+                           "'");
   }
 
-  obs::DecisionLedger ledger;
-  const std::string ledger_path = args.get("ledger", "");
-  if (!ledger_path.empty()) {
-    try {
-      ledger = obs::DecisionLedger::read_jsonl_file(ledger_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  } else {
-    // No ledger file: run the pipeline (baseline eval, one M1 DBA round,
-    // fused eval) so the explanation covers scores, votes, and adoption.
-    const auto cfg = config_from(args);
-    const auto exp = core::Experiment::build(cfg);
-    const auto v = static_cast<std::size_t>(args.get_int(
-        "v",
-        static_cast<long>(std::min<std::size_t>(3, exp->num_subsystems()))));
-    std::vector<const core::SubsystemScores*> blocks;
-    for (const auto& b : exp->baseline_scores()) blocks.push_back(&b);
-    (void)exp->evaluate(blocks);
-    const auto m1 = exp->run_dba(v, core::DbaMode::kM1);
-    std::vector<const core::SubsystemScores*> dba_blocks;
-    for (const auto& b : m1) dba_blocks.push_back(&b);
-    (void)exp->evaluate(dba_blocks);
-    ledger = exp->ledger();
-  }
+  // Without a ledger file, explain a fresh run's scores, votes, and
+  // adoption.
+  const std::string path = flags.text("ledger");
+  const std::optional<obs::DecisionLedger> ledger =
+      path.empty() ? run_baseline_and_m1(flags)->ledger() : read_ledger(path);
+  if (!ledger) return 2;
 
-  const obs::LedgerEntry* entry = ledger.find(id);
+  const obs::LedgerEntry* entry = ledger->find(id);
   if (entry == nullptr) {
     std::fprintf(stderr,
                  "error: utterance id %llu not in the ledger (%zu entries)\n",
-                 static_cast<unsigned long long>(id), ledger.entries.size());
+                 static_cast<unsigned long long>(id), ledger->entries.size());
     return 2;
   }
-  std::fputs(obs::format_explain(ledger, *entry).c_str(), stdout);
+  std::fputs(obs::format_explain(*ledger, *entry).c_str(), stdout);
   return 0;
 }
 
-int cmd_diag(const Args& args) {
-  const std::string ledger_path = args.get("ledger", "");
+int cmd_diag(const ParsedFlags& flags) {
+  const std::string ledger_path = flags.text("ledger");
   if (ledger_path.empty()) {
-    std::fprintf(stderr, "error: diag needs --ledger <file.jsonl>\n");
-    usage();
-    return 2;
+    throw util::UsageError("diag needs --ledger <file.jsonl>");
   }
-  obs::DecisionLedger ledger;
-  try {
-    ledger = obs::DecisionLedger::read_jsonl_file(ledger_path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  const std::optional<obs::DecisionLedger> read = read_ledger(ledger_path);
+  if (!read) return 2;
+  const obs::DecisionLedger& ledger = *read;
   if (ledger.empty()) {
     std::fprintf(stderr, "error: ledger '%s' has no entries\n",
                  ledger_path.c_str());
@@ -871,21 +670,23 @@ int cmd_diag(const Args& args) {
   }
   std::printf("\n");
 
-  if (const std::string report_path = args.get("report", "");
+  if (const std::string report_path = flags.text("report");
       !report_path.empty()) {
     eval::publish_quality_gauges(diag);
-    obs::ReportMeta meta;
-    meta.tool = "phonolid";
-    meta.command = "diag";
-    meta.scale = ledger.scale;
-    meta.seed = ledger.seed;
-    meta.threads = util::ThreadPool::global().num_threads();
     obs::Json extra = obs::Json::object();
     extra["quality"] = eval::diagnostics_json(diag);
-    obs::write_report_file(report_path,
-                           obs::build_report(meta, std::move(extra)));
+    obs::write_report_file(
+        report_path,
+        obs::build_report(report_meta("diag", ledger.scale, ledger.seed),
+                          std::move(extra)));
   }
   return 0;
+}
+
+/// The number at `key` of `node`, or 0 when either is missing.
+double number_at(const obs::Json* node, const char* key) {
+  const obs::Json* v = node == nullptr ? nullptr : node->find(key);
+  return v != nullptr && v->is_number() ? v->as_double() : 0.0;
 }
 
 /// Per-stage energy/counter table from a schema-v1 report.  Shared by the
@@ -897,38 +698,34 @@ std::string format_power_table(const obs::Json& report) {
 
   const obs::Json* energy = report.find("energy");
   const obs::Json* hw = report.find("hw");
-  const auto num = [](const obs::Json* obj, const char* key) {
-    const obs::Json* v = obj == nullptr ? nullptr : obj->find(key);
-    return v != nullptr && v->is_number() ? v->as_double() : 0.0;
-  };
   const obs::Json* source =
       energy == nullptr ? nullptr : energy->find("source");
   const std::string source_text =
       source != nullptr && source->is_string() ? source->as_string() : "off";
-  const double total_j = num(energy, "total_joules");
+  const double total_j = number_at(energy, "total_joules");
 
   out << "energy source : " << source_text;
   if (source_text == "software") {
     std::snprintf(line, sizeof(line), " (%.3g J/GFLOP)",
-                  num(energy, "joules_per_gflop"));
+                  number_at(energy, "joules_per_gflop"));
     out << line;
   }
   out << '\n';
   std::snprintf(line, sizeof(line), "total joules  : %.6f\n", total_j);
   out << line;
   std::snprintf(line, sizeof(line), "total GFLOPs  : %.3f\n",
-                num(energy, "total_gflops"));
+                number_at(energy, "total_gflops"));
   out << line;
   std::snprintf(line, sizeof(line), "GFLOP per J   : %.3f\n",
-                num(energy, "gflops_per_watt"));
+                number_at(energy, "gflops_per_watt"));
   out << line;
   const obs::Json* hw_avail = hw == nullptr ? nullptr : hw->find("available");
   if (hw_avail != nullptr && hw_avail->is_bool() && hw_avail->as_bool()) {
     std::snprintf(line, sizeof(line),
                   "hw counters   : IPC %.2f, LLC miss rate %.3f, branch miss "
                   "rate %.3f\n",
-                  num(hw, "ipc"), num(hw, "llc_miss_rate"),
-                  num(hw, "branch_miss_rate"));
+                  number_at(hw, "ipc"), number_at(hw, "llc_miss_rate"),
+                  number_at(hw, "branch_miss_rate"));
     out << line;
   } else {
     const obs::Json* reason =
@@ -964,9 +761,9 @@ std::string format_power_table(const obs::Json& report) {
         row.joules = joules->as_double();
         attributed += row.joules;
       }
-      row.cycles = num(span_hw, "cycles");
-      row.instructions = num(span_hw, "instructions");
-      row.llc_misses = num(span_hw, "llc_misses");
+      row.cycles = number_at(span_hw, "cycles");
+      row.instructions = number_at(span_hw, "instructions");
+      row.llc_misses = number_at(span_hw, "llc_misses");
       rows.push_back(std::move(row));
     }
   }
@@ -995,32 +792,6 @@ std::string format_power_table(const obs::Json& report) {
   return out.str();
 }
 
-int cmd_power(const Args& args) {
-  if (const std::string input = args.get("input", ""); !input.empty()) {
-    std::fputs(format_power_table(load_json_file(input)).c_str(), stdout);
-    return 0;
-  }
-  const auto cfg = config_from(args);
-  const auto exp = core::Experiment::build(cfg);
-  // Score the baseline fusion so VSM scoring and calibration show up in the
-  // table alongside the build-time stages (training, decoding, features).
-  std::vector<const core::SubsystemScores*> blocks;
-  for (const auto& b : exp->baseline_scores()) blocks.push_back(&b);
-  (void)exp->evaluate(blocks);
-
-  obs::ReportMeta meta;
-  meta.tool = "phonolid";
-  meta.command = "power";
-  meta.scale = util::to_string(cfg.scale);
-  meta.seed = cfg.seed;
-  meta.threads = util::ThreadPool::global().num_threads();
-  const obs::Json report = obs::build_report(meta);
-  std::fputs(format_power_table(report).c_str(), stdout);
-  if (!cfg.report_path.empty()) {
-    obs::write_report_file(cfg.report_path, report);
-  }
-  return 0;
-}
 
 /// Top-functions / per-span table from a report's "profile" section (or a
 /// live Profiler::profile_json() document).  Shared by `phonolid flame`,
@@ -1032,10 +803,6 @@ std::string format_flame_table(const obs::Json* profile) {
     out << "profile       : (no profile section in this report)\n";
     return out.str();
   }
-  const auto num = [&](const char* key) {
-    const obs::Json* v = profile->find(key);
-    return v != nullptr && v->is_number() ? v->as_double() : 0.0;
-  };
   const obs::Json* available = profile->find("available");
   if (available == nullptr || !available->is_bool() ||
       !available->as_bool()) {
@@ -1052,18 +819,18 @@ std::string format_flame_table(const obs::Json* profile) {
     out << '\n';
     return out.str();
   }
-  const double samples = num("samples");
+  const double samples = number_at(profile, "samples");
   std::snprintf(line, sizeof(line), "profile       : cpu @ %.0f Hz\n",
-                num("hz"));
+                number_at(profile, "hz"));
   out << line;
   std::snprintf(line, sizeof(line), "samples       : %.0f (%.0f dropped)\n",
-                samples, num("dropped"));
+                samples, number_at(profile, "dropped"));
   out << line;
   std::snprintf(line, sizeof(line),
                 "symbolized    : %.1f%% of frames, %.1f%% of samples "
                 "attributed to a named function\n",
-                100.0 * num("symbolized_share"),
-                100.0 * num("attributed_share"));
+                100.0 * number_at(profile, "symbolized_share"),
+                100.0 * number_at(profile, "attributed_share"));
   out << line;
 
   out << "\ntop functions by self time:\n";
@@ -1074,13 +841,10 @@ std::string format_flame_table(const obs::Json* profile) {
       functions != nullptr && functions->is_array()) {
     for (const obs::Json& fn : functions->as_array()) {
       const obs::Json* name = fn.find("name");
-      const auto fnum = [&](const char* key) {
-        const obs::Json* v = fn.find(key);
-        return v != nullptr && v->is_number() ? v->as_double() : 0.0;
-      };
       std::snprintf(line, sizeof(line), "%6.1f%% %6.1f%% %9.0f %9.0f  %s\n",
-                    100.0 * fnum("self_share"), 100.0 * fnum("total_share"),
-                    fnum("self"), fnum("total"),
+                    100.0 * number_at(&fn, "self_share"),
+                    100.0 * number_at(&fn, "total_share"),
+                    number_at(&fn, "self"), number_at(&fn, "total"),
                     name != nullptr && name->is_string()
                         ? name->as_string().c_str()
                         : "?");
@@ -1096,12 +860,9 @@ std::string format_flame_table(const obs::Json* profile) {
       spans != nullptr && spans->is_array()) {
     for (const obs::Json& span : spans->as_array()) {
       const obs::Json* path = span.find("path");
-      const auto snum = [&](const char* key) {
-        const obs::Json* v = span.find(key);
-        return v != nullptr && v->is_number() ? v->as_double() : 0.0;
-      };
       std::snprintf(line, sizeof(line), "%6.1f%% %9.0f  %s\n",
-                    100.0 * snum("share"), snum("samples"),
+                    100.0 * number_at(&span, "share"),
+                    number_at(&span, "samples"),
                     path != nullptr && path->is_string()
                         ? path->as_string().c_str()
                         : "?");
@@ -1111,88 +872,71 @@ std::string format_flame_table(const obs::Json* profile) {
   return out.str();
 }
 
-int cmd_flame(const Args& args) {
-  if (const std::string input = args.get("input", ""); !input.empty()) {
-    const obs::Json report = load_json_file(input);
-    std::fputs(format_flame_table(report.find("profile")).c_str(), stdout);
+/// power/flame: render `table` from --input, or from a live run that builds
+/// the experiment and scores the baseline fusion, so VSM scoring and
+/// calibration show up next to the build-time stages.  With `profile`, the
+/// live run is sampled by the CPU profiler; an unavailable profiler still
+/// runs the pipeline, and the table says why it is empty.
+int report_table(const ParsedFlags& flags, const char* command,
+                 std::string (*table)(const obs::Json& report), bool profile) {
+  if (const std::string input = flags.text("input"); !input.empty()) {
+    std::fputs(table(load_json_file(input)).c_str(), stdout);
     return 0;
   }
-  // Live mode: profile the same pipeline `power` runs.  An unavailable
-  // profiler still runs the pipeline and reports why the table is empty.
-  if (!obs::Profiler::enabled() && !obs::Profiler::start(0)) {
+  if (profile && !obs::Profiler::enabled() && !obs::Profiler::start(0)) {
     std::fprintf(stderr,
                  "phonolid: CPU profiler unavailable (%s); running "
                  "unprofiled\n",
                  std::strerror(obs::Profiler::unavailable_errno()));
   }
-  const auto cfg = config_from(args);
+  const auto cfg = config_from(flags);
   const auto exp = core::Experiment::build(cfg);
-  std::vector<const core::SubsystemScores*> blocks;
-  for (const auto& b : exp->baseline_scores()) blocks.push_back(&b);
-  (void)exp->evaluate(blocks);
-
-  obs::ReportMeta meta;
-  meta.tool = "phonolid";
-  meta.command = "flame";
-  meta.scale = util::to_string(cfg.scale);
-  meta.seed = cfg.seed;
-  meta.threads = util::ThreadPool::global().num_threads();
-  obs::Profiler::stop();
-  const obs::Json report = obs::build_report(meta);
-  std::fputs(format_flame_table(report.find("profile")).c_str(), stdout);
+  (void)evaluate_baseline(*exp);
+  if (profile) obs::Profiler::stop();
+  const obs::Json report = obs::build_report(
+      report_meta(command, util::to_string(cfg.scale), cfg.seed));
+  std::fputs(table(report).c_str(), stdout);
   if (!cfg.report_path.empty()) {
     obs::write_report_file(cfg.report_path, report);
   }
   return 0;
 }
 
-int cmd_freeze(const Args& args) {
-  const auto cfg = config_from(args);
-  const std::string out_dir = args.get("out", "");
+int cmd_power(const ParsedFlags& flags) {
+  return report_table(flags, "power", format_power_table, false);
+}
+
+int cmd_flame(const ParsedFlags& flags) {
+  return report_table(
+      flags, "flame",
+      [](const obs::Json& report) {
+        return format_flame_table(report.find("profile"));
+      },
+      true);
+}
+
+int cmd_freeze(const ParsedFlags& flags) {
+  const std::string out_dir = flags.text("out");
   if (out_dir.empty()) {
-    std::fprintf(stderr, "error: freeze needs --out <bundle-dir>\n");
-    usage();
-    return 2;
+    throw util::UsageError("freeze needs --out <bundle-dir>");
   }
-  const std::string mode = args.get("mode", "both");
-  if (mode != "m1" && mode != "m2" && mode != "both") {
-    std::fprintf(stderr, "error: --mode must be m1, m2 or both\n");
-    return 2;
-  }
+  const auto cfg = config_from(flags);
+  const std::size_t v = min_votes(flags, cfg);
+  const std::string mode = flags.text("mode", "both");
   const auto exp = core::Experiment::build(cfg);
-  const auto v = static_cast<std::size_t>(args.get_int(
-      "v", static_cast<long>(std::min<std::size_t>(3, exp->num_subsystems()))));
   const std::size_t num_subs = exp->num_subsystems();
 
-  // Same training sequence as `phonolid run`, capturing the boosted VSMs
-  // and fitting the same count-weighted fusion — so a frozen bundle scores
-  // bit-identically to the offline run that would have produced it.
-  const auto selection = exp->select(v);
-  std::vector<core::SubsystemScores> m1, m2;
-  std::vector<const core::SubsystemScores*> blocks;
-  std::vector<double> weights;
   std::vector<svm::VsmModel> models;
-  if (mode == "m1" || mode == "both") {
-    m1 = exp->run_dba(v, core::DbaMode::kM1, &models);
-    for (const auto& b : m1) blocks.push_back(&b);
-    for (std::size_t c : selection.subsystem_fit_counts) {
-      weights.push_back(static_cast<double>(c));
-    }
-  }
-  if (mode == "m2" || mode == "both") {
-    m2 = exp->run_dba(v, core::DbaMode::kM2, &models);
-    for (const auto& b : m2) blocks.push_back(&b);
-    for (std::size_t c : selection.subsystem_fit_counts) {
-      weights.push_back(static_cast<double>(c));
-    }
-  }
-  if (models.size() != blocks.size()) {
+  const DbaFusion fused =
+      run_dba_recipe(*exp, exp->select(v), v, mode, &models);
+  if (models.size() != fused.scores.size()) {
     std::fprintf(stderr,
                  "error: freeze captured %zu VSMs for %zu score blocks\n",
-                 models.size(), blocks.size());
+                 models.size(), fused.scores.size());
     return 1;
   }
-  const backend::ScoreFusion fusion = exp->fit_fusion(blocks, weights);
+  const backend::ScoreFusion fusion =
+      exp->fit_fusion(pointers(fused.scores), fused.weights);
 
   std::vector<core::FrozenHead> heads;
   heads.reserve(models.size());
@@ -1207,17 +951,16 @@ int cmd_freeze(const Args& args) {
               exp->num_languages());
   std::printf("  phonolid serve --bundle %s --port 0\n", out_dir.c_str());
 
-  if (!cfg.report_path.empty()) {
-    obs::Json results = obs::Json::object();
-    results["bundle_dir"] = obs::Json(out_dir);
-    results["bundle_format"] = obs::Json(core::kBundleFormatVersion);
-    results["subsystems"] = obs::Json(num_subs);
-    results["heads"] = obs::Json(heads.size());
-    results["languages"] = obs::Json(exp->num_languages());
-    results["mode"] = obs::Json(mode);
-    results["min_votes"] = obs::Json(v);
-    write_plain_report(cfg, "freeze", std::move(results));
-  }
+  obs::Json results = obs::Json::object();
+  results["bundle_dir"] = obs::Json(out_dir);
+  results["bundle_format"] = obs::Json(core::kBundleFormatVersion);
+  results["subsystems"] = obs::Json(num_subs);
+  results["heads"] = obs::Json(heads.size());
+  results["languages"] = obs::Json(exp->num_languages());
+  results["mode"] = obs::Json(mode);
+  results["min_votes"] = obs::Json(v);
+  write_plain_report(cfg, "freeze", std::move(results));
+
   return 0;
 }
 
@@ -1229,35 +972,27 @@ void serve_signal_handler(int) {
   if (auto* server = g_serve_instance.load()) server->request_shutdown();
 }
 
-int cmd_serve(const Args& args) {
-  const std::string bundle_dir = args.get("bundle", "");
+int cmd_serve(const ParsedFlags& flags) {
+  const std::string bundle_dir = flags.text("bundle");
   if (bundle_dir.empty()) {
-    std::fprintf(stderr, "error: serve needs --bundle <bundle-dir>\n");
-    usage();
-    return 2;
+    throw util::UsageError("serve needs --bundle <bundle-dir>");
   }
   serve::ServerConfig scfg;
-  scfg.port = static_cast<int>(args.get_int("port", 0));
-  scfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 32));
-  scfg.batch_window_ms = args.get_double("batch-window-ms", 2.0);
-  scfg.queue_depth =
-      static_cast<std::size_t>(args.get_int("queue-depth", 256));
-  const long queue_max_mb = args.get_int("queue-max-mb", 256);
-  scfg.allow_swap = args.get_int("allow-swap", 1) != 0;
-  scfg.swap_root = args.get("swap-root", "");
-  scfg.admin_port = static_cast<int>(args.get_int("admin-port", -1));
-  const long slow_log = args.get_int("slow-log", 8);
-  if (scfg.max_batch == 0 || scfg.queue_depth == 0 || queue_max_mb <= 0 ||
-      scfg.batch_window_ms < 0.0 || scfg.admin_port < -1 || slow_log < 0) {
-    std::fprintf(stderr,
-                 "error: --max-batch/--queue-depth/--queue-max-mb expect "
-                 "positive integers, --batch-window-ms a non-negative "
-                 "number, --admin-port -1 (off), 0 (ephemeral) or a port, "
-                 "--slow-log a non-negative count\n");
-    return 2;
-  }
+  scfg.port = static_cast<int>(flags.integer("port", scfg.port));
+  scfg.max_batch = static_cast<std::size_t>(
+      flags.integer("max-batch", static_cast<std::int64_t>(scfg.max_batch)));
+  scfg.batch_window_ms = flags.number("batch-window-ms", scfg.batch_window_ms);
+  scfg.queue_depth = static_cast<std::size_t>(flags.integer(
+      "queue-depth", static_cast<std::int64_t>(scfg.queue_depth)));
+  const long queue_max_mb = static_cast<long>(flags.integer(
+      "queue-max-mb", static_cast<std::int64_t>(scfg.queue_max_bytes >> 20)));
   scfg.queue_max_bytes = static_cast<std::size_t>(queue_max_mb) << 20;
-  scfg.slow_log = static_cast<std::size_t>(slow_log);
+  scfg.allow_swap = flags.integer("allow-swap", 1) != 0;
+  scfg.swap_root = flags.text("swap-root");
+  scfg.admin_port =
+      static_cast<int>(flags.integer("admin-port", scfg.admin_port));
+  scfg.slow_log = static_cast<std::size_t>(
+      flags.integer("slow-log", static_cast<std::int64_t>(scfg.slow_log)));
 
   auto model = std::make_shared<const core::FrozenModel>(
       core::FrozenModel::load_bundle(bundle_dir));
@@ -1291,25 +1026,16 @@ int cmd_serve(const Args& args) {
                 static_cast<unsigned>(serve::kAdminHttpVersion));
   }
   std::fflush(stdout);
-  if (const std::string port_file = args.get("port-file", "");
-      !port_file.empty()) {
-    std::ofstream out(port_file);
-    out << port << '\n';
+  for (const auto& [flag, value] : {std::pair{"port-file", port},
+                                    std::pair{"admin-port-file",
+                                              server.admin_port()}}) {
+    const std::string path = flags.text(flag);
+    if (path.empty()) continue;
+    std::ofstream out(path);
+    out << value << '\n';
     if (!out) {
-      std::fprintf(stderr, "error: cannot write --port-file %s\n",
-                   port_file.c_str());
-      server.shutdown();
-      g_serve_instance.store(nullptr);
-      return 1;
-    }
-  }
-  if (const std::string admin_port_file = args.get("admin-port-file", "");
-      !admin_port_file.empty()) {
-    std::ofstream out(admin_port_file);
-    out << server.admin_port() << '\n';
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write --admin-port-file %s\n",
-                   admin_port_file.c_str());
+      std::fprintf(stderr, "error: cannot write --%s %s\n", flag,
+                   path.c_str());
       server.shutdown();
       g_serve_instance.store(nullptr);
       return 1;
@@ -1327,7 +1053,7 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-int cmd_version() {
+int cmd_version(const ParsedFlags&) {
   std::printf("phonolid version surface\n");
   std::printf("  report schema     : v%d\n", obs::kReportSchemaVersion);
   std::printf("  pipeline format   : v%u\n",
@@ -1361,11 +1087,11 @@ int cmd_version() {
   return 0;
 }
 
-int cmd_pipeline(const Args& args) {
+int cmd_pipeline(const ParsedFlags& flags) {
   const std::string verb =
-      args.positionals.empty() ? "status" : args.positionals[0];
+      flags.positionals.empty() ? "status" : flags.positionals[0];
   const std::string root =
-      pipeline::ArtifactStore::resolve_root(args.get("cache-dir", ""));
+      pipeline::ArtifactStore::resolve_root(flags.text("cache-dir"));
   if (root.empty()) {
     std::fprintf(stderr,
                  "error: no cache directory (pass --cache-dir or set "
@@ -1383,12 +1109,7 @@ int cmd_pipeline(const Args& args) {
     return 0;
   }
   if (verb == "gc") {
-    const long max_bytes = args.get_int("max-bytes", 0);
-    if (max_bytes < 0) {
-      std::fprintf(stderr,
-                   "error: flag --max-bytes expects a non-negative integer\n");
-      return 2;
-    }
+    const long max_bytes = static_cast<long>(flags.integer("max-bytes", 0));
     const auto r = store.gc(static_cast<std::uintmax_t>(max_bytes));
     std::printf("kept %zu entries, removed %zu (%ju bytes reclaimed",
                 r.kept, r.removed,
@@ -1400,131 +1121,190 @@ int cmd_pipeline(const Args& args) {
     std::printf(")\n");
     return 0;
   }
-  std::fprintf(stderr, "error: unknown pipeline verb '%s' (status|gc)\n",
-               verb.c_str());
-  usage();
-  return 2;
+  throw util::UsageError("unknown pipeline verb '" + verb + "' (status|gc)");
 }
 
-int cmd_report_diff(const Args& args) {
-  if (args.positionals.size() != 2) {
-    std::fprintf(stderr,
-                 "error: report-diff needs exactly two report files: "
-                 "report-diff <baseline.json> <current.json>\n");
-    usage();
-    return 2;
+int cmd_report_diff(const ParsedFlags& flags) {
+  if (flags.positionals.size() != 2) {
+    throw util::UsageError(
+        "report-diff needs exactly two report files: "
+        "report-diff <baseline.json> <current.json>");
   }
   obs::ReportDiffOptions options;
-  options.max_regress_pct = args.get_double("max-regress", -1.0);
-  options.max_eer_delta = args.get_double("max-eer-delta", -1.0);
-  options.max_cavg_delta = args.get_double("max-cavg-delta", -1.0);
-  options.max_cllr_delta = args.get_double("max-cllr-delta", -1.0);
-  options.max_adoption_precision_drop =
-      args.get_double("max-adoption-precision-drop", -1.0);
-  options.max_energy_delta_pct = args.get_double("max-energy-delta-pct", -1.0);
-  options.max_self_share_delta = args.get_double("max-self-share-delta", -1.0);
-  options.max_serve_p99_regress_pct =
-      args.get_double("max-serve-p99-regress", -1.0);
-  options.max_serve_throughput_drop_pct =
-      args.get_double("max-serve-throughput-drop", -1.0);
-  options.max_phase_p99_regress_pct =
-      args.get_double("max-phase-p99-regress", -1.0);
-  options.min_span_s = args.get_double("min-span-s", options.min_span_s);
-  const obs::Json baseline = load_json_file(args.positionals[0]);
-  const obs::Json current = load_json_file(args.positionals[1]);
+  for (const obs::ReportDiffFlag& flag : obs::report_diff_flags()) {
+    options.*flag.field = flags.number(flag.name, options.*flag.field);
+  }
+  const obs::Json baseline = load_json_file(flags.positionals[0]);
+  const obs::Json current = load_json_file(flags.positionals[1]);
   const obs::ReportDiffResult result =
       obs::diff_reports(baseline, current, options);
   std::fputs(result.format().c_str(), stdout);
   return result.violated ? 1 : 0;
 }
 
-int dispatch(const Args& args) {
-  if (args.command == "corpus") return cmd_corpus(args);
-  if (args.command == "decode") return cmd_decode(args);
-  if (args.command == "run") return cmd_run(args);
-  if (args.command == "det") return cmd_det(args);
-  if (args.command == "votes") return cmd_votes(args);
-  if (args.command == "export") return cmd_export(args);
-  if (args.command == "explain") return cmd_explain(args);
-  if (args.command == "diag") return cmd_diag(args);
-  if (args.command == "power") return cmd_power(args);
-  if (args.command == "flame") return cmd_flame(args);
-  if (args.command == "pipeline") return cmd_pipeline(args);
-  if (args.command == "report-diff") return cmd_report_diff(args);
-  if (args.command == "freeze") return cmd_freeze(args);
-  if (args.command == "serve") return cmd_serve(args);
-  if (args.command == "version") return cmd_version();
-  usage();
-  return args.command.empty() ? 1 : 2;
+int cmd_profile(const ParsedFlags& flags);
+
+struct Command {
+  std::string_view name;
+  std::string_view synopsis;  // positionals, for the usage text
+  std::string_view summary;
+  std::vector<std::string_view> flags;
+  int (*run)(const ParsedFlags& flags);
+  /// The flags come first and the positionals are another command line,
+  /// run under this one.
+  bool wraps = false;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = [] {
+    std::vector<std::string_view> diff_flags;
+    for (const obs::ReportDiffFlag& flag : obs::report_diff_flags()) {
+      diff_flags.push_back(flag.name);
+    }
+    return std::vector<Command>{
+        {"corpus", "", "corpus statistics",
+         {"scale", "seed", "report", "cache-dir"}, cmd_corpus},
+        {"decode", "", "decode one test utterance and dump its lattice",
+         {"scale", "seed", "report", "frontend", "utterance", "cache-dir",
+          "chunk-ms", "stream-checkpoint-s"},
+         cmd_decode},
+        {"run", "", "baseline vs DBA EER/Cavg per duration tier",
+         {"scale", "seed", "report", "v", "mode", "cache-dir", "ledger",
+          "chunk-ms", "stream-checkpoint-s"},
+         cmd_run},
+        {"det", "", "DET curve CSV for the baseline fusion",
+         {"scale", "seed", "report", "points", "cache-dir", "ledger"},
+         cmd_det},
+        {"votes", "", "vote histogram and Tr_DBA sizes",
+         {"scale", "seed", "report", "cache-dir", "ledger"}, cmd_votes},
+        {"export", "", "trace a baseline + M1 run (needs --trace or --prom)",
+         {"scale", "seed", "v", "trace", "prom", "cache-dir", "ledger"},
+         cmd_export},
+        {"explain", "<utt-id>", "every DBA decision for one utterance",
+         {"scale", "seed", "v", "cache-dir", "ledger"}, cmd_explain},
+        {"diag", "", "quality diagnostics from a --ledger",
+         {"ledger", "report"}, cmd_diag},
+        {"power", "", "per-stage energy and hardware-counter table",
+         {"scale", "seed", "report", "cache-dir", "input"}, cmd_power},
+        {"flame", "", "sampling-profiler top table",
+         {"scale", "seed", "report", "cache-dir", "input"}, cmd_flame},
+        {"profile", "<command> [flags]", "run a command under the profiler",
+         {"hz", "out"}, cmd_profile, true},
+        {"report-diff", "<baseline.json> <current.json>",
+         "compare two run reports; exits 1 when a gate is violated",
+         diff_flags, cmd_report_diff},
+        {"freeze", "", "train and freeze a servable bundle (needs --out)",
+         {"scale", "seed", "out", "v", "mode", "cache-dir", "report"},
+         cmd_freeze},
+        {"serve", "", "loopback scoring daemon (needs --bundle)",
+         {"bundle", "port", "port-file", "max-batch", "batch-window-ms",
+          "queue-depth", "queue-max-mb", "allow-swap", "swap-root",
+          "admin-port", "admin-port-file", "slow-log"},
+         cmd_serve},
+        {"version", "", "schema/format versions and build flags", {},
+         cmd_version},
+        {"pipeline", "status|gc", "artifact-store size, or garbage collection",
+         {"cache-dir", "max-bytes"}, cmd_pipeline},
+    };
+  }();
+  return table;
 }
 
-/// `phonolid profile [--hz N] [--out f.folded] <command> [flags...]`: run
-/// any other command under the sampling profiler and print the flame table
-/// (plus optional folded stacks) when it finishes.  Wrapper flags come
-/// before the subcommand; everything after it is parsed by the subcommand's
-/// own (strict) flag table.
-int run_profile_wrapper(int argc, char** argv) {
-  long hz = 0;
-  std::string out_path;
-  int i = 2;
-  for (; i < argc && std::strncmp(argv[i], "--", 2) == 0; ++i) {
-    const std::string key = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "error: flag %s expects a value\n", key.c_str());
-      return 2;
+void usage() {
+  std::string text = "usage: phonolid <command> [flags]\n\ncommands:\n";
+  for (const Command& command : commands()) {
+    std::string left = "  " + std::string(command.name);
+    if (!command.synopsis.empty()) left += " " + std::string(command.synopsis);
+    text += util::help_row(left, command.summary);
+    std::string accepted;
+    for (const std::string_view flag : command.flags) {
+      accepted += " --" + std::string(flag);
     }
-    if (key == "--hz") {
-      hz = std::strtol(argv[++i], nullptr, 10);
-      if (hz <= 0) {
-        std::fprintf(stderr, "error: --hz expects a positive integer\n");
-        return 2;
-      }
-    } else if (key == "--out") {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown profile flag %s (profile flags: --hz N "
-                   "--out f.folded, before the subcommand)\n",
-                   key.c_str());
-      return 2;
-    }
+    if (!accepted.empty()) text += util::help_row("", "flags:" + accepted);
   }
-  if (i >= argc) {
-    std::fprintf(stderr,
-                 "error: profile needs a subcommand: phonolid profile "
-                 "[--hz N] [--out f.folded] <command> [flags]\n");
-    usage();
-    return 2;
-  }
-  if (std::strcmp(argv[i], "profile") == 0) {
-    std::fprintf(stderr, "error: profile cannot wrap itself\n");
-    return 2;
-  }
-  std::vector<char*> inner;
-  inner.push_back(argv[0]);
-  for (int j = i; j < argc; ++j) inner.push_back(argv[j]);
-  const Args args =
-      parse_args(static_cast<int>(inner.size()), inner.data());
+  text += "\nflags:\n" + util::format_flag_help(flag_table());
+  text +=
+      "\nenv: PHONOLID_TRACE=t.json PHONOLID_PROM=m.prom  record and export a\n"
+      "     flight-recorder trace / Prometheus metrics from any command\n"
+      "     PHONOLID_PROFILE=cpu PHONOLID_PROFILE_HZ=N  sample CPU stacks\n"
+      "     PHONOLID_PROFILE_OUT=out.folded  write folded stacks at exit\n"
+      "     PHONOLID_ENERGY=rapl|software|off  energy source (default: RAPL\n"
+      "     when readable, else the software model)\n"
+      "exit status: 0 ok, 1 failure or report-diff violation, 2 usage "
+      "error\n";
+  std::fputs(text.c_str(), stderr);
+}
 
-  obs::enable_recorder_from_env();
-  if (!obs::Profiler::start(static_cast<int>(hz))) {
+struct Invocation {
+  const Command* command = nullptr;
+  ParsedFlags flags;
+};
+
+/// Parse a command line (without argv[0]) against the two tables; any
+/// mistake is a UsageError, raised before any work starts.
+Invocation parse_invocation(std::span<const std::string> args) {
+  Invocation inv;
+  std::string name;
+  if (!args.empty() && args[0].rfind('-', 0) != 0) {
+    name = args[0];
+    for (const Command& command : commands()) {
+      if (command.name == name) inv.command = &command;
+    }
+    if (inv.command == nullptr) {
+      throw util::UsageError("unknown command '" + name + "'");
+    }
+  }
+  const bool wraps = inv.command != nullptr && inv.command->wraps;
+  inv.flags = util::parse_flags(
+      flag_table(),
+      inv.command != nullptr ? std::span(inv.command->flags)
+                             : std::span<const std::string_view>(),
+      args.empty() ? args : args.subspan(1), "command '" + name + "'", wraps);
+  if (wraps) {
+    const Invocation inner = parse_invocation(inv.flags.positionals);
+    if (inner.command == nullptr) {
+      throw util::UsageError(name + " needs a command to run");
+    }
+    if (inner.command->wraps) {
+      throw util::UsageError(name + " cannot wrap itself");
+    }
+  }
+  return inv;
+}
+
+int usage_error(const char* message) {
+  std::fprintf(stderr, "error: %s\n", message);
+  usage();
+  return 2;
+}
+
+/// A usage error found while running exits 2; any other failure (e.g. an
+/// unwritable --report path) exits 1.
+int run_command(const Invocation& inv) {
+  try {
+    return inv.command->run(inv.flags);
+  } catch (const util::UsageError& e) {
+    return usage_error(e.what());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
+
+int cmd_profile(const ParsedFlags& flags) {
+  const Invocation inner = parse_invocation(flags.positionals);
+  if (!obs::Profiler::start(static_cast<int>(flags.integer("hz", 0)))) {
     std::fprintf(stderr,
                  "phonolid: CPU profiler unavailable (%s); running "
                  "unprofiled\n",
                  std::strerror(obs::Profiler::unavailable_errno()));
   }
-  int rc = 0;
-  try {
-    rc = dispatch(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    rc = 1;
-  }
+  const int rc = run_command(inner);
   obs::Profiler::stop();
   const obs::Json profile = obs::Profiler::profile_json();
   std::printf("\n");
   std::fputs(format_flame_table(&profile).c_str(), stdout);
-  if (!out_path.empty()) {
+  if (const std::string out_path = flags.text("out"); !out_path.empty()) {
     try {
       obs::write_folded_stacks(out_path);
       std::fprintf(stderr,
@@ -1536,29 +1316,28 @@ int run_profile_wrapper(int argc, char** argv) {
                    e.what());
     }
   }
-  obs::export_from_env();
   return rc;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "profile") == 0) {
-    return run_profile_wrapper(argc, argv);
-  }
   if (argc >= 2 && std::strcmp(argv[1], "--version") == 0) {
-    return cmd_version();
+    return cmd_version(ParsedFlags());
   }
-  const Args args = parse_args(argc, argv);
-  obs::enable_recorder_from_env();
-  int rc = 0;
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  Invocation inv;
   try {
-    rc = dispatch(args);
-  } catch (const std::exception& e) {
-    // E.g. an unwritable --report path; don't lose the run to a terminate().
-    std::fprintf(stderr, "error: %s\n", e.what());
-    rc = 1;
+    inv = parse_invocation(args);
+  } catch (const util::UsageError& e) {
+    return usage_error(e.what());
   }
+  if (inv.command == nullptr) {
+    usage();
+    return 1;
+  }
+  obs::enable_recorder_from_env();
+  const int rc = run_command(inv);
   // Flush PHONOLID_TRACE / PHONOLID_PROM even on failure — a trace of a
   // failed run is exactly when you want one.
   obs::export_from_env();
