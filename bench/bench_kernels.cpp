@@ -29,8 +29,7 @@ util::Matrix random_matrix(std::size_t rows, std::size_t cols,
 }
 
 // MLP forward: batch x in against a (out x in) weight matrix, fused
-// bias+sigmoid epilogue.  Shapes follow the NN-HMM front-ends (stacked
-// features -> hidden -> tied states).
+// bias+sigmoid epilogue (gemm_nt).
 void BM_GemmNtBiasSigmoid(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const auto in = static_cast<std::size_t>(state.range(1));
@@ -49,7 +48,9 @@ void BM_GemmNtBiasSigmoid(benchmark::State& state) {
       benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
 }
 
-// Gradient reduction: delta^T activations (the backward-pass kernel).
+// Weight gradient: (1/batch) delta^T activations (gemm_tn); with a few
+// output columns and thousands of rows it is the GMM EM statistics
+// product gamma^T frames.
 void BM_GemmTn(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const auto out = static_cast<std::size_t>(state.range(1));
@@ -67,25 +68,26 @@ void BM_GemmTn(benchmark::State& state) {
       benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
 }
 
-void BM_Gemv(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const auto cols = static_cast<std::size_t>(state.range(1));
-  const util::Matrix a = random_matrix(rows, cols, 5);
-  std::vector<float> x(cols, 0.5f), out(rows);
+// Backprop: delta (batch x out) times the (out x in) weights (gemm).
+void BM_Gemm(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  const auto in = static_cast<std::size_t>(state.range(2));
+  const util::Matrix delta = random_matrix(batch, out, 5);
+  const util::Matrix w = random_matrix(out, in, 6);
+  util::Matrix next;
   for (auto _ : state) {
-    la::gemv(a, x, out);
-    benchmark::DoNotOptimize(out.data());
+    la::gemm(delta, w, next);
+    benchmark::DoNotOptimize(next.data());
   }
   state.counters["gflops"] = benchmark::Counter(
-      2.0 * static_cast<double>(rows * cols) *
+      2.0 * static_cast<double>(batch * in * out) *
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
 }
 
 // Batched diagonal-Gaussian log-densities: T frames x (states * mixture
-// components), the GMM-HMM decoding hot path.  Shapes mirror the quick
-// (13-dim SDC/PLP, ~60 states x 2 comps) and default (39-dim, 32-comp UBM)
-// model sizes.
+// components), the GMM-HMM decoding hot path (one gemm_nt on [X | X^2]).
 void BM_BatchedLogGaussian(benchmark::State& state) {
   const auto frames = static_cast<std::size_t>(state.range(0));
   const auto dim = static_cast<std::size_t>(state.range(1));
@@ -115,17 +117,34 @@ void BM_BatchedLogGaussian(benchmark::State& state) {
 
 }  // namespace
 
-// NN-HMM forward at quick scale (65-dim stacked input, 64 hidden, 60
-// states) and default scale (195 input, 256 hidden, 120 states).
+// Pipeline shapes (core/frontend_spec.cpp): NN front ends train on
+// batches of 128 frames of 39 x 5 = 195 stacked inputs.  Quick: 32 hidden
+// units and 48-66 states (the DNN has two hidden layers and 51 states).
+// Default: 48 hidden units and 66-90 states.  GMM-HMMs have 2 (quick) or
+// 4 (default) components per state over 39-dim frames: 102-144 (quick)
+// and 288-396 (default) Gaussians.
 BENCHMARK(BM_GemmNtBiasSigmoid)
-    ->Args({128, 65, 64})
-    ->Args({128, 195, 256})
-    ->Args({512, 256, 120});
-BENCHMARK(BM_GemmTn)->Args({128, 64, 65})->Args({128, 256, 195});
-BENCHMARK(BM_Gemv)->Args({64, 65})->Args({256, 195});
+    ->Args({128, 195, 32})
+    ->Args({128, 32, 66})
+    ->Args({128, 195, 48})
+    ->Args({128, 48, 90});
+BENCHMARK(BM_GemmTn)
+    ->Args({128, 32, 195})
+    ->Args({128, 66, 32})
+    ->Args({128, 32, 32})
+    ->Args({128, 51, 32})
+    ->Args({128, 48, 195})
+    ->Args({128, 90, 48})
+    ->Args({2048, 2, 39})
+    ->Args({2048, 4, 39});
+BENCHMARK(BM_Gemm)
+    ->Args({128, 66, 32})
+    ->Args({128, 51, 32})
+    ->Args({128, 32, 32})
+    ->Args({128, 90, 48});
 BENCHMARK(BM_BatchedLogGaussian)
-    ->Args({300, 13, 120})
-    ->Args({300, 39, 32})
-    ->Args({3000, 39, 160});
+    ->Args({300, 39, 102})
+    ->Args({300, 39, 144})
+    ->Args({300, 39, 396});
 
 BENCHMARK_MAIN();

@@ -2,8 +2,8 @@
 # Tier-1 verification (see ROADMAP.md): full build + test suite, then the
 # concurrency-sensitive tests again under ThreadSanitizer to vet the
 # lock-free obs metrics / trace-span plumbing, the sampling profiler's
-# signal handler, and the thread pool; the feature kernels, streaming,
-# daemon and pool tests again under ASan+UBSan; then a quick-scale
+# signal handler, and the thread pool; the feature and GEMM kernels,
+# streaming, daemon and pool tests again under ASan+UBSan; then a quick-scale
 # end-to-end run with the flight recorder on, gated against the committed
 # baseline report via `phonolid report-diff`, plus a profiled run that must
 # yield folded stacks and >= 95% sample attribution.
@@ -28,11 +28,13 @@ cmake --build build-tsan -j --target test_obs test_thread_pool test_pipeline_sto
 ./build-tsan/tests/test_streaming
 ./build-tsan/tests/test_serve
 
-# ASan+UBSan side build of the feature kernels and the code that feeds them
-# (streaming features, the daemon's PCM admission, the pool): any
-# out-of-bounds access, use-after-free or undefined arithmetic aborts.
+# ASan+UBSan side build of the feature kernels, the SIMD GEMM kernels (raw
+# pointer and tail arithmetic) and the code that feeds them (streaming
+# features, the daemon's PCM admission, the pool): any out-of-bounds
+# access, use-after-free or undefined arithmetic aborts.
 cmake -B build-asan -S . "-DPHONOLID_SANITIZE=address,undefined"
-cmake --build build-asan -j --target test_fft test_filterbank test_mfcc_plp test_features test_streaming test_serve test_thread_pool
+cmake --build build-asan -j --target test_fft test_filterbank test_mfcc_plp test_features test_streaming test_serve test_thread_pool test_la_kernels
+./build-asan/tests/test_la_kernels
 ./build-asan/tests/test_fft
 ./build-asan/tests/test_filterbank
 ./build-asan/tests/test_mfcc_plp

@@ -10,10 +10,24 @@
 //    a fixed reduction order over k.  No cross-thread reductions, so the
 //    result is bit-identical for 1, 2 or 64 threads — and across repeated
 //    runs.
-//  * SIMD-friendly without -ffast-math.  Inner loops are written as
-//    independent accumulator lanes (explicit reassociation) over
-//    contiguous, restrict-qualified spans so GCC/Clang vectorise them at
-//    -O2 with strict FP semantics.
+//  * Explicit SIMD with the scalar loops' bits.  The three GEMM forms are
+//    GCC vector-extension kernels (SSE on x86-64, no -ffast-math) that
+//    perform, per output, exactly the IEEE operations of the scalar loops
+//    they replaced, in the same order:
+//      - gemm / gemm_tn (axpy form): c[i][j] starts at +0 (or the
+//        accumulate input) and adds w * b[kk][j] for kk = 0, 1, ... in
+//        order, where w = a[i][kk] (gemm) or alpha * a[kk][i] (gemm_tn).
+//        A term whose w == 0 is skipped, not added: a -0 sum stays -0,
+//        and an inf or NaN in B opposite a zero weight never reaches C.
+//        A 4 x 8 block of C stays in registers over k.
+//      - gemm_nt / dot: dot8's order.  Lane l sums k = l (mod 8) from +0,
+//        the k % 8 tail adds into lane 0 in order, and the lanes combine
+//        as ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)).  gemm_nt scores four B
+//        rows per pass.
+//    tests/test_la_kernels.cpp keeps the scalar loops and compares bits.
+//    The contract holds only while no multiply-add is fused: GCC's C++
+//    default is -ffp-contract=fast, so a -march with FMA (or -mfma) would
+//    contract `c += w * b` and change bits.  The build selects no -march.
 //  * Nested-parallelism safe.  Parallel tiles run through
 //    util::parallel_for, which uses the thread pool's helping-wait: a
 //    caller already running on a pool worker drains queued tiles itself
@@ -62,14 +76,6 @@ void gemm_nt(const util::Matrix& a, const util::Matrix& b, util::Matrix& c,
 void gemm_tn(const util::Matrix& a, const util::Matrix& b, util::Matrix& c,
              float alpha = 1.0f, bool accumulate = false,
              util::ThreadPool* pool = nullptr);
-
-/// out = A * x   (A: m x n, x: n, out: m).
-void gemv(const util::Matrix& a, std::span<const float> x,
-          std::span<float> out) noexcept;
-
-/// out = A^T * x (A: m x n, x: m, out: n).
-void gemv_t(const util::Matrix& a, std::span<const float> x,
-            std::span<float> out) noexcept;
 
 /// Dot product with eight independent accumulator lanes.
 [[nodiscard]] float dot(std::span<const float> a,

@@ -13,7 +13,7 @@
 //     per-span energies always sum to the measured total.
 //
 //   - "software": a deterministic cost model.  Instrumented kernels and
-//     stages call Energy::charge_flops(flops) (la::gemm*/gemv*, the feature
+//     stages call Energy::charge_flops(flops) (la::gemm*, the feature
 //     pipeline, the Viterbi decoder, VSM scoring), and each charge converts
 //     to joules at a fixed joules-per-GFLOP rate, attributed to the calling
 //     thread's current span path.  Charges depend only on problem sizes —

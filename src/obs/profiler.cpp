@@ -21,6 +21,12 @@
 
 #include "obs/symbolize.h"
 
+#if defined(__x86_64__)
+// Linker-provided bounds of the executable's own code (GNU ld, gold, lld).
+extern "C" char __executable_start;
+extern "C" char etext;
+#endif
+
 namespace phonolid::obs {
 
 namespace {
@@ -144,7 +150,9 @@ int checked_timer_create(clockid_t clock, sigevent* sev,
 /// Async-signal-safe frame-pointer walk of the interrupted context.
 /// Every dereference is bounds-checked against the thread's stack extent,
 /// so a frame-pointer-less or corrupted chain terminates instead of
-/// faulting; the leaf pc (frame 0) is always valid regardless.
+/// faulting; the leaf pc (frame 0) is always valid regardless.  It reads
+/// other frames' stack words by design, so ASan must not instrument it.
+__attribute__((no_sanitize("address")))
 void unwind_context(const ThreadState* s, void* ucv,
                     RawSample& out) noexcept {
   const ucontext_t* uc = static_cast<const ucontext_t*>(ucv);
@@ -162,6 +170,28 @@ void unwind_context(const ThreadState* s, void* ucv,
   const std::uintptr_t lo = sp;  // frames live at or above the current sp
   const std::uintptr_t hi =
       s->stack_hi > lo ? s->stack_hi : lo + (1u << 20);
+#if defined(__x86_64__)
+  // A leaf in a shared library (libm's exp/log internals, libc's memcpy)
+  // may run without a frame pointer and keep data in rbp, so the chain
+  // below loses its caller and no frame of the sample has a name.  Its
+  // small frame sits just above sp, with the return address into this
+  // executable at its top: take the first of the next kScanWords words
+  // that points into this executable's code.
+  constexpr std::uintptr_t kScanWords = 64;
+  const auto text_lo = reinterpret_cast<std::uintptr_t>(&__executable_start);
+  const auto text_hi = reinterpret_cast<std::uintptr_t>(&etext);
+  if ((pc < text_lo || pc >= text_hi) &&
+      (sp & (sizeof(std::uintptr_t) - 1)) == 0) {
+    const auto* word = reinterpret_cast<const std::uintptr_t*>(sp);
+    for (std::uintptr_t i = 0;
+         i < kScanWords && sp + (i + 1) * sizeof(std::uintptr_t) <= hi; ++i) {
+      if (word[i] >= text_lo && word[i] < text_hi) {
+        out.frames[n++] = word[i];
+        break;
+      }
+    }
+  }
+#endif
   while (n < kMaxFrames) {
     if (fp < lo || fp > hi - 2 * sizeof(std::uintptr_t) ||
         (fp & (sizeof(std::uintptr_t) - 1)) != 0) {

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "util/logging.h"
 
 namespace phonolid::util {
 
@@ -142,12 +144,25 @@ void ThreadPool::wait_helping(std::future<void>& future) {
   }
 }
 
+std::optional<std::size_t> parse_thread_count(std::string_view text) noexcept {
+  const char* const last = text.data() + text.size();
+  std::size_t n = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, n);
+  if (ec != std::errc{} || end != last || n < 1 || n > kMaxThreads) {
+    return std::nullopt;
+  }
+  return n;
+}
+
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool([] {
-    if (const char* env = std::getenv("PHONOLID_THREADS")) {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0) return static_cast<std::size_t>(n);
-    }
+    const char* env = std::getenv("PHONOLID_THREADS");
+    if (env == nullptr) return std::size_t{0};
+    if (const auto n = parse_thread_count(env)) return *n;
+    PHONOLID_LOG(LogLevel::kWarn, "util")
+        << "ignoring PHONOLID_THREADS='" << env
+        << "': want a whole number in [1, " << kMaxThreads
+        << "]; using hardware concurrency";
     return std::size_t{0};
   }());
   return pool;

@@ -18,7 +18,9 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <queue>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,6 +52,8 @@ class ThreadPool {
   void wait_helping(std::future<void>& future);
 
   /// Process-wide pool, sized from PHONOLID_THREADS or hardware concurrency.
+  /// A PHONOLID_THREADS that parse_thread_count rejects is reported once on
+  /// stderr and ignored.
   static ThreadPool& global();
 
  private:
@@ -68,6 +72,14 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// Largest PHONOLID_THREADS value the global pool accepts.
+inline constexpr std::size_t kMaxThreads = 1024;
+
+/// A PHONOLID_THREADS value: a whole decimal integer in [1, kMaxThreads],
+/// nothing else (no sign, space or suffix); nullopt otherwise.
+[[nodiscard]] std::optional<std::size_t> parse_thread_count(
+    std::string_view text) noexcept;
 
 /// Run body(i) for i in [begin, end) across the pool, in contiguous blocks.
 /// Blocks until every index is done.  Exceptions from the body propagate

@@ -47,6 +47,17 @@ TEST(ThreadPool, TaskIsCountedBeforeItsFutureIsReady) {
   }
 }
 
+TEST(ThreadPool, ParseThreadCountAcceptsOnlyWholeNumbersInRange) {
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("04"), 4u);
+  EXPECT_EQ(parse_thread_count("1024"), kMaxThreads);
+  for (const char* bad : {"", "0", "1025", "40000", "99999999999999999999999",
+                          "4x", "four", "-2", "+4", " 4", "4 ", "4.0"}) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 TEST(ThreadPool, SizeRespected) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.num_threads(), 3u);
