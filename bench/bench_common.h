@@ -34,7 +34,7 @@ inline std::unique_ptr<core::Experiment> build_experiment() {
               "%zu test utterances\n",
               build_span.stop(), experiment->num_languages(),
               experiment->num_subsystems(),
-              experiment->corpus().test().size());
+              experiment->corpus().test_info().size());
   return experiment;
 }
 

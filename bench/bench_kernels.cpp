@@ -2,6 +2,12 @@
 // representative shapes: MLP forward/backward GEMMs (batch x features
 // against hidden/state layers) and the batched diagonal-Gaussian scorer
 // that dominates GMM-HMM decoding.
+//
+// Per-kernel numbers are single-thread: run with PHONOLID_THREADS=1 (as
+// scripts/tier1.sh does).  Above ~128 Kflop (kParallelFlopThreshold in
+// src/la/kernels.cpp) a wider pool splits a call across workers, and
+// google-benchmark then reports multi-thread wall time next to the main
+// thread's CPU time alone.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

@@ -24,8 +24,8 @@ int main() {
   const auto experiment = core::Experiment::build(config);
   std::printf("corpus: %zu languages, %zu train / %zu test utterances\n",
               experiment->num_languages(),
-              experiment->corpus().vsm_train().size(),
-              experiment->corpus().test().size());
+              experiment->corpus().vsm_train_info().size(),
+              experiment->corpus().test_info().size());
 
   // 2. Baseline PPRVSM: fuse all six subsystems.
   std::vector<const core::SubsystemScores*> baseline_blocks;
@@ -40,7 +40,7 @@ int main() {
   const auto selection = experiment->select(v);
   std::printf("\nDBA adopts %zu of %zu test utterances at V=%zu "
               "(hypothesised-label error %.1f%%)\n",
-              selection.utt_index.size(), experiment->corpus().test().size(),
+              selection.utt_index.size(), experiment->corpus().test_info().size(),
               v,
               100.0 * core::selection_error_rate(selection,
                                                  experiment->test_labels()));

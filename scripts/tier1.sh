@@ -2,8 +2,9 @@
 # Tier-1 verification (see ROADMAP.md): full build + test suite, then the
 # concurrency-sensitive tests again under ThreadSanitizer to vet the
 # lock-free obs metrics / trace-span plumbing, the sampling profiler's
-# signal handler, and the thread pool; the feature and GEMM kernels,
-# streaming, daemon and pool tests again under ASan+UBSan; then a quick-scale
+# signal handler, the thread pool and the corpus's render-once splits; the
+# feature and GEMM kernels, corpus rendering, streaming, daemon and pool
+# tests again under ASan+UBSan; then a quick-scale
 # end-to-end run with the flight recorder on, gated against the committed
 # baseline report via `phonolid report-diff`, plus a profiled run that must
 # yield folded stacks and >= 95% sample attribution.
@@ -18,7 +19,7 @@ cmake --build build -j
 (cd build && env -u PHONOLID_CACHE ctest --output-on-failure -j)
 
 cmake -B build-tsan -S . -DPHONOLID_SANITIZE=thread
-cmake --build build-tsan -j --target test_obs test_thread_pool test_pipeline_store test_la_kernels test_perf_energy test_profiler test_streaming test_serve
+cmake --build build-tsan -j --target test_obs test_thread_pool test_pipeline_store test_la_kernels test_perf_energy test_profiler test_streaming test_serve test_corpus
 ./build-tsan/tests/test_obs
 ./build-tsan/tests/test_thread_pool
 ./build-tsan/tests/test_pipeline_store
@@ -27,13 +28,14 @@ cmake --build build-tsan -j --target test_obs test_thread_pool test_pipeline_sto
 ./build-tsan/tests/test_profiler
 ./build-tsan/tests/test_streaming
 ./build-tsan/tests/test_serve
+./build-tsan/tests/test_corpus
 
 # ASan+UBSan side build of the feature kernels, the SIMD GEMM kernels (raw
-# pointer and tail arithmetic) and the code that feeds them (streaming
-# features, the daemon's PCM admission, the pool): any out-of-bounds
-# access, use-after-free or undefined arithmetic aborts.
+# pointer and tail arithmetic) and the code that feeds them (corpus
+# rendering, streaming features, the daemon's PCM admission, the pool): any
+# out-of-bounds access, use-after-free or undefined arithmetic aborts.
 cmake -B build-asan -S . "-DPHONOLID_SANITIZE=address,undefined"
-cmake --build build-asan -j --target test_fft test_filterbank test_mfcc_plp test_features test_streaming test_serve test_thread_pool test_la_kernels
+cmake --build build-asan -j --target test_fft test_filterbank test_mfcc_plp test_features test_streaming test_serve test_thread_pool test_la_kernels test_corpus
 ./build-asan/tests/test_la_kernels
 ./build-asan/tests/test_fft
 ./build-asan/tests/test_filterbank
@@ -42,11 +44,15 @@ cmake --build build-asan -j --target test_fft test_filterbank test_mfcc_plp test
 ./build-asan/tests/test_streaming
 ./build-asan/tests/test_serve
 ./build-asan/tests/test_thread_pool
+./build-asan/tests/test_corpus
 
 # Kernel microbenchmark smoke: one repetition at minimal time, just to prove
-# the harness runs and every registered shape executes.
+# the harness runs and every registered shape executes.  One thread, as
+# every per-kernel comparison must be: above the kernels' parallel
+# threshold a wider pool reports multi-thread wall time next to main-thread
+# CPU time.
 cmake --build build -j --target bench_kernels
-./build/bench/bench_kernels --benchmark_min_time=0.01
+PHONOLID_THREADS=1 ./build/bench/bench_kernels --benchmark_min_time=0.01
 
 # End-to-end observability smoke: a traced quick run must produce a loadable
 # Chrome trace, Prometheus text, a decision ledger, and a schema-v1 report
@@ -86,6 +92,10 @@ cmp "$TMP/quick.ledger.jsonl" "$TMP/warm_t1.ledger.jsonl"
 cmp "$TMP/quick.ledger.jsonl" "$TMP/warm_t4.ledger.jsonl"
 ./build/tools/phonolid report-diff "$TMP/quick.report.json" "$TMP/warm.report.json" \
   --max-eer-delta 0
+# Every stage of the warm run hit the store, so it must render no audio.
+python3 -c 'import json,sys
+n = json.load(open(sys.argv[1]))["metrics"]["counters"]["corpus.rendered_utterances"]
+sys.exit(0 if n == 0 else "warm run rendered %d utterances, want 0" % n)' "$TMP/warm.report.json"
 ./build/tools/phonolid pipeline status --cache-dir "$CACHE_DIR"
 ./build/tools/phonolid pipeline gc --cache-dir "$CACHE_DIR"
 
@@ -129,6 +139,11 @@ PHONOLID_ENERGY=software PHONOLID_PROFILE=cpu \
   ./build/tools/phonolid run --scale quick \
   --report "$TMP/energy.report.json" --cache-dir "$TMP/energy-cache"
 test -s "$TMP/quick.folded"
+# The fresh store misses everywhere, so every quick-scale utterance renders
+# exactly once: 192 am_train + 144 vsm_train + 72 dev + 180 test.
+python3 -c 'import json,sys
+n = json.load(open(sys.argv[1]))["metrics"]["counters"]["corpus.rendered_utterances"]
+sys.exit(0 if n == 588 else "cold run rendered %d utterances, want 588" % n)' "$TMP/energy.report.json"
 ./build/tools/phonolid report-diff BENCH_quick_run.json "$TMP/energy.report.json" \
   --max-energy-delta-pct 1 --max-eer-delta 0.02 --max-cavg-delta 0.02 \
   --max-cllr-delta 0.25 --max-adoption-precision-drop 0.05 \

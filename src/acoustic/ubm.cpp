@@ -99,14 +99,14 @@ UbmLrSystem UbmLrSystem::train(const corpus::Dataset& train,
     util::Matrix& means = system.adapted_means_[l];
     means.resize(m, dim);
     for (std::size_t c = 0; c < m; ++c) {
-      const double gamma = acc_gamma[l][c];
+      const double occupancy = acc_gamma[l][c];
       const auto& ubm_mean = system.ubm_.component(c).mean();
       auto dst = means.row(c);
       for (std::size_t d = 0; d < dim; ++d) {
-        // Reynolds MAP: (sum gamma x + tau mu) / (gamma + tau).
+        // Reynolds MAP: (sum gamma x + tau mu) / (sum gamma + tau).
         dst[d] = static_cast<float>(
             (acc_x[l](c, d) + config.relevance * ubm_mean[d]) /
-            (gamma + config.relevance));
+            (occupancy + config.relevance));
       }
     }
   }

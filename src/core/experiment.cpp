@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <cmath>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -48,12 +49,17 @@ std::unique_ptr<Experiment> Experiment::build(const ExperimentConfig& config) {
   const corpus::LreCorpus& corpus = exp->corpus_;
   const std::size_t k = corpus.num_target_languages();
 
-  exp->train_labels_.reserve(corpus.vsm_train().size());
-  for (const auto& u : corpus.vsm_train()) exp->train_labels_.push_back(u.language);
-  exp->dev_labels_.reserve(corpus.dev().size());
-  for (const auto& u : corpus.dev()) exp->dev_labels_.push_back(u.language);
-  exp->test_labels_.reserve(corpus.test().size());
-  for (const auto& u : corpus.test()) exp->test_labels_.push_back(u.language);
+  // Labels come from the corpus metadata: no audio is rendered unless a
+  // stage below misses and reads it.
+  const auto labels = [](const std::vector<corpus::UtteranceInfo>& info) {
+    std::vector<std::int32_t> y;
+    y.reserve(info.size());
+    for (const auto& u : info) y.push_back(u.language);
+    return y;
+  };
+  exp->train_labels_ = labels(corpus.vsm_train_info());
+  exp->dev_labels_ = labels(corpus.dev_info());
+  exp->test_labels_ = labels(corpus.test_info());
 
   const std::size_t q = config.frontends.size();
   exp->subsystems_.resize(q);
@@ -71,38 +77,53 @@ std::unique_ptr<Experiment> Experiment::build(const ExperimentConfig& config) {
   //      whose supervectors missed, computing each distinct feature config
   //      once per utterance;
   //   3. the baseline VSMs.
-  // Phases 1 and 3 run their per-front-end stages concurrently; each writes
-  // only slot s and all randomness derives from (seed, salt).
+  // Phases 1 and 3 run their stages concurrently; each writes only its
+  // front ends' slots and all randomness derives from (seed, salt).  Only
+  // the two miss paths read audio, so only they render it: a training miss
+  // its native language's am_train split, phase 2 vsm_train/dev/test.
   const pipeline::StageKey corpus_key =
       corpus_stage_key(config.corpus, config.scale, config.seed);
   std::vector<pipeline::StageKey> sv_keys(q);
   std::vector<DecodedSupervectors> decoded(q);
   std::vector<char> decoded_hit(q, 0);  // not vector<bool>: written in parallel
-  pipeline::StageRunner runner;
+  const auto load_front_end = [&](std::size_t s) {
+    FrontEndSpec spec = config.frontends[s];
+    // The 1-best ablation flows through the supervector builder config.
+    spec.use_lattice_counts = config.use_lattice_counts;
+
+    const pipeline::StageKey fe_key =
+        frontend_stage_key(corpus_key, spec, config.seed);
+    TrainedFrontEnd fe = store.get_or_compute<TrainedFrontEnd>(
+        fe_key,
+        [](std::istream& in) { return TrainedFrontEnd::deserialize(in); },
+        [](std::ostream& out, const TrainedFrontEnd& v) { v.serialize(out); },
+        [&] { return Subsystem::train_front_end(corpus, spec, config.seed); });
+    auto sub = Subsystem::assemble(corpus, spec, std::move(fe));
+    sub->set_batch_chunk_samples(config.batch_chunk_samples);
+
+    sv_keys[s] = supervectors_stage_key(fe_key);
+    if (store.enabled()) {
+      decoded_hit[s] = store.load(sv_keys[s], [&](std::istream& in) {
+        decoded[s] = DecodedSupervectors::deserialize(in);
+      });
+    }
+    exp->subsystems_[s] = std::move(sub);
+  };
+  // One phase-1 stage per native language: a training miss renders its
+  // native language's am_train split on first access, and no two pool tasks
+  // may first-access one split (corpus/dataset.h), so front ends that share
+  // a native language load or train one after another.
+  std::map<std::size_t, std::vector<std::size_t>> by_native;
   for (std::size_t s = 0; s < q; ++s) {
-    runner.add("frontend/" + config.frontends[s].name, [&, s] {
-      FrontEndSpec spec = config.frontends[s];
-      // The 1-best ablation flows through the supervector builder config.
-      spec.use_lattice_counts = config.use_lattice_counts;
-
-      const pipeline::StageKey fe_key =
-          frontend_stage_key(corpus_key, spec, config.seed);
-      TrainedFrontEnd fe = store.get_or_compute<TrainedFrontEnd>(
-          fe_key,
-          [](std::istream& in) { return TrainedFrontEnd::deserialize(in); },
-          [](std::ostream& out, const TrainedFrontEnd& v) { v.serialize(out); },
-          [&] { return Subsystem::train_front_end(corpus, spec, config.seed); });
-      auto sub = Subsystem::assemble(corpus, spec, std::move(fe));
-      sub->set_batch_chunk_samples(config.batch_chunk_samples);
-
-      sv_keys[s] = supervectors_stage_key(fe_key);
-      if (store.enabled()) {
-        decoded_hit[s] = store.load(sv_keys[s], [&](std::istream& in) {
-          decoded[s] = DecodedSupervectors::deserialize(in);
-        });
-      }
-      exp->subsystems_[s] = std::move(sub);
-    });
+    by_native[config.frontends[s].native_language].push_back(s);
+  }
+  pipeline::StageRunner runner;
+  for (const auto& entry : by_native) {
+    const std::vector<std::size_t>& members = entry.second;
+    runner.add("frontend/" + config.frontends[members.front()].name,
+               [&load_front_end, members] {
+                 for (const std::size_t s : members) load_front_end(s);
+               });
   }
   runner.run_all();
 
@@ -175,11 +196,11 @@ void Experiment::init_ledger() {
   }
   ledger_.scale = util::to_string(config_.scale);
   ledger_.seed = config_.seed;
-  ledger_.entries.assign(corpus_.test().size(), obs::LedgerEntry{});
+  ledger_.entries.assign(corpus_.test_info().size(), obs::LedgerEntry{});
   const std::size_t k = num_languages();
   for (std::size_t j = 0; j < ledger_.entries.size(); ++j) {
     obs::LedgerEntry& e = ledger_.entries[j];
-    const corpus::Utterance& u = corpus_.test()[j];
+    const corpus::UtteranceInfo& u = corpus_.test_info()[j];
     e.utt = j;
     e.corpus_id = u.id;
     e.true_label = u.language;

@@ -20,8 +20,9 @@
 namespace phonolid::core {
 
 /// Root of the chain: the corpus generation stage (no artifact of its own —
-/// generation is cheap and always runs — but every downstream key includes
-/// it so corpus changes invalidate everything).
+/// building the corpus metadata is cheap and always runs, and audio is
+/// rendered only for the stages that miss — but every downstream key
+/// includes it so corpus changes invalidate everything).
 [[nodiscard]] pipeline::StageKey corpus_stage_key(
     const corpus::CorpusConfig& config, util::Scale scale, std::uint64_t seed);
 

@@ -1,9 +1,10 @@
 #include "corpus/dataset.h"
 
-#include <atomic>
+#include <mutex>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace phonolid::corpus {
 
@@ -55,47 +56,71 @@ CorpusConfig CorpusConfig::preset(util::Scale scale, std::uint64_t seed) {
   return c;
 }
 
-namespace {
+/// One split: its utterances' metadata and render jobs from build(), and
+/// its audio once the first audio access has rendered it.
+struct LreCorpus::Split {
+  /// How to render one utterance.  `spec` points into the corpus's language
+  /// vectors, whose elements keep their addresses when the corpus moves.
+  struct Job {
+    const LanguageSpec* spec = nullptr;
+    double seconds = 1.0;
+  };
 
-/// Renders `count` utterances in parallel into `out` (resized first), with
-/// RNG streams derived from (seed, salt, index) so the result is identical
-/// under any thread count.
-struct RenderJob {
-  std::int32_t language = -1;
-  DurationTier tier = DurationTier::k30s;
-  const LanguageSpec* spec = nullptr;
-  double seconds = 1.0;
+  std::uint64_t salt = 0;
   bool keep_alignment = false;
   bool test_channel = false;
+  std::vector<UtteranceInfo> info;
+  std::vector<Job> jobs;
+  std::once_flag render_once;
+  Dataset data;
+
+  void add(std::int32_t language, DurationTier tier, const LanguageSpec& spec,
+           double seconds) {
+    info.push_back({salt * 1000000ull + info.size(), language, tier});
+    jobs.push_back({&spec, seconds});
+  }
 };
 
-void render_jobs(const PhoneInventory& inventory, const Synthesizer& synth,
-                 std::uint64_t seed, std::uint64_t salt,
-                 const std::vector<RenderJob>& jobs, Dataset& out) {
-  out.resize(jobs.size());
-  util::parallel_for(0, jobs.size(), [&](std::size_t i) {
-    util::Rng rng(util::derive_stream(seed, salt * 0x10001ull + i));
-    const RenderJob& job = jobs[i];
-    const auto phones = job.spec->sample_sequence(inventory, job.seconds, rng);
-    const SpeakerProfile speaker = SpeakerProfile::sample(rng);
-    const ChannelProfile channel = job.test_channel
-                                       ? ChannelProfile::sample_test(rng)
-                                       : ChannelProfile::sample(rng);
-    RenderedUtterance rendered = synth.render(phones, speaker, channel, rng);
-    Utterance& utt = out[i];
-    utt.id = salt * 1000000ull + i;
-    utt.language = job.language;
-    utt.tier = job.tier;
-    utt.samples = std::move(rendered.samples);
-    if (job.keep_alignment) utt.alignment = std::move(rendered.alignment);
-  });
+struct LreCorpus::Splits {
+  explicit Splits(std::size_t num_native) : am_train(num_native) {}
+  std::vector<Split> am_train;  // one per native language
+  Split vsm_train;
+  Split dev;
+  Split test;
+};
+
+namespace {
+
+obs::Counter& rendered_utterances() {
+  static obs::Counter& counter =
+      obs::Metrics::counter("corpus.rendered_utterances");
+  return counter;
+}
+
+std::vector<std::size_t> tier_indices(const std::vector<UtteranceInfo>& info,
+                                      DurationTier tier) {
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < info.size(); ++i) {
+    if (info[i].tier == tier) idx.push_back(i);
+  }
+  return idx;
 }
 
 }  // namespace
 
-LreCorpus LreCorpus::build(const CorpusConfig& config) {
+LreCorpus::LreCorpus()
+    : pool_(&util::ThreadPool::global()),
+      splits_(std::make_unique<Splits>(0)) {}
+LreCorpus::~LreCorpus() = default;
+LreCorpus::LreCorpus(LreCorpus&&) noexcept = default;
+LreCorpus& LreCorpus::operator=(LreCorpus&&) noexcept = default;
+
+LreCorpus LreCorpus::build(const CorpusConfig& config, util::ThreadPool& pool) {
+  // Registered at 0, so the report of a run that renders nothing says so.
+  rendered_utterances();
   LreCorpus corpus;
   corpus.config_ = config;
+  corpus.pool_ = &pool;
   corpus.inventory_ =
       build_universal_inventory(config.num_universal_phones, config.seed);
   corpus.targets_ =
@@ -108,86 +133,111 @@ LreCorpus LreCorpus::build(const CorpusConfig& config) {
         util::derive_stream(config.seed, 0xB000 + n)));
   }
 
-  const Synthesizer synth(corpus.inventory_, config.sample_rate);
+  corpus.splits_ = std::make_unique<Splits>(config.num_native_languages);
+  Splits& splits = *corpus.splits_;
   const std::size_t k = corpus.targets_.size();
 
   // Acoustic-model training sets: phone-aligned, one per native language.
-  corpus.am_train_.resize(config.num_native_languages);
   for (std::size_t n = 0; n < config.num_native_languages; ++n) {
-    std::vector<RenderJob> jobs(config.am_train_utts_per_native);
-    for (auto& job : jobs) {
-      job.language = -1;
-      job.spec = &corpus.natives_[n];
-      job.seconds = config.am_train_seconds;
-      job.keep_alignment = true;
+    Split& split = splits.am_train[n];
+    split.salt = 10 + n;
+    split.keep_alignment = true;
+    for (std::size_t u = 0; u < config.am_train_utts_per_native; ++u) {
+      split.add(-1, DurationTier::k30s, corpus.natives_[n],
+                config.am_train_seconds);
     }
-    render_jobs(corpus.inventory_, synth, config.seed, 10 + n, jobs,
-                corpus.am_train_[n]);
   }
 
   // VSM training set: long utterances, per target language.
-  {
-    std::vector<RenderJob> jobs;
-    jobs.reserve(k * config.train_utts_per_language);
-    for (std::size_t lang = 0; lang < k; ++lang) {
-      for (std::size_t u = 0; u < config.train_utts_per_language; ++u) {
-        RenderJob job;
-        job.language = static_cast<std::int32_t>(lang);
-        job.spec = &corpus.targets_[lang];
-        job.seconds = config.train_seconds;
-        jobs.push_back(job);
-      }
+  splits.vsm_train.salt = 100;
+  for (std::size_t lang = 0; lang < k; ++lang) {
+    for (std::size_t u = 0; u < config.train_utts_per_language; ++u) {
+      splits.vsm_train.add(static_cast<std::int32_t>(lang), DurationTier::k30s,
+                           corpus.targets_[lang], config.train_seconds);
     }
-    render_jobs(corpus.inventory_, synth, config.seed, 100, jobs,
-                corpus.vsm_train_);
   }
 
   // Dev and test: all tiers, test channel conditions for the test set.
   const auto build_tiered = [&](std::size_t per_lang_per_tier, bool test_channel,
-                                std::uint64_t salt, Dataset& out) {
-    std::vector<RenderJob> jobs;
-    jobs.reserve(k * per_lang_per_tier * kNumTiers);
+                                std::uint64_t salt, Split& split) {
+    split.salt = salt;
+    split.test_channel = test_channel;
     for (std::size_t tier = 0; tier < kNumTiers; ++tier) {
       for (std::size_t lang = 0; lang < k; ++lang) {
         for (std::size_t u = 0; u < per_lang_per_tier; ++u) {
-          RenderJob job;
-          job.language = static_cast<std::int32_t>(lang);
-          job.tier = static_cast<DurationTier>(tier);
-          job.spec = &corpus.targets_[lang];
-          job.seconds = config.tier_seconds[tier];
-          job.test_channel = test_channel;
-          jobs.push_back(job);
+          split.add(static_cast<std::int32_t>(lang),
+                    static_cast<DurationTier>(tier), corpus.targets_[lang],
+                    config.tier_seconds[tier]);
         }
       }
     }
-    render_jobs(corpus.inventory_, synth, config.seed, salt, jobs, out);
   };
-  build_tiered(config.dev_utts_per_language_per_tier, false, 200, corpus.dev_);
-  build_tiered(config.test_utts_per_language_per_tier, true, 300, corpus.test_);
+  build_tiered(config.dev_utts_per_language_per_tier, false, 200, splits.dev);
+  build_tiered(config.test_utts_per_language_per_tier, true, 300, splits.test);
 
   PHONOLID_INFO("corpus") << "built corpus: " << k << " target languages, "
-                          << corpus.vsm_train_.size() << " train / "
-                          << corpus.dev_.size() << " dev / "
-                          << corpus.test_.size() << " test utterances";
+                          << splits.vsm_train.info.size() << " train / "
+                          << splits.dev.info.size() << " dev / "
+                          << splits.test.info.size() << " test utterances";
   return corpus;
 }
 
-namespace {
-std::vector<std::size_t> tier_indices(const Dataset& set, DurationTier tier) {
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    if (set[i].tier == tier) idx.push_back(i);
-  }
-  return idx;
+/// Renders the whole split in parallel into split.data, with RNG streams
+/// derived from (seed, salt, index) so the result is identical under any
+/// thread count and whichever split renders first.
+const Dataset& LreCorpus::rendered(Split& split) const {
+  std::call_once(split.render_once, [&] {
+    PHONOLID_SPAN("corpus/render");
+    const Synthesizer synth(inventory_, config_.sample_rate);
+    split.data.resize(split.jobs.size());
+    util::parallel_for(*pool_, 0, split.jobs.size(), [&](std::size_t i) {
+      util::Rng rng(
+          util::derive_stream(config_.seed, split.salt * 0x10001ull + i));
+      const Split::Job& job = split.jobs[i];
+      const auto phones =
+          job.spec->sample_sequence(inventory_, job.seconds, rng);
+      const SpeakerProfile speaker = SpeakerProfile::sample(rng);
+      const ChannelProfile channel = split.test_channel
+                                         ? ChannelProfile::sample_test(rng)
+                                         : ChannelProfile::sample(rng);
+      RenderedUtterance rendered = synth.render(phones, speaker, channel, rng);
+      Utterance& utt = split.data[i];
+      utt.id = split.info[i].id;
+      utt.language = split.info[i].language;
+      utt.tier = split.info[i].tier;
+      utt.samples = std::move(rendered.samples);
+      if (split.keep_alignment) utt.alignment = std::move(rendered.alignment);
+    });
+    rendered_utterances().add(split.jobs.size());
+  });
+  return split.data;
 }
-}  // namespace
+
+const Dataset& LreCorpus::am_train(std::size_t native_index) const {
+  return rendered(splits_->am_train.at(native_index));
+}
+const Dataset& LreCorpus::vsm_train() const {
+  return rendered(splits_->vsm_train);
+}
+const Dataset& LreCorpus::dev() const { return rendered(splits_->dev); }
+const Dataset& LreCorpus::test() const { return rendered(splits_->test); }
+
+const std::vector<UtteranceInfo>& LreCorpus::vsm_train_info() const noexcept {
+  return splits_->vsm_train.info;
+}
+const std::vector<UtteranceInfo>& LreCorpus::dev_info() const noexcept {
+  return splits_->dev.info;
+}
+const std::vector<UtteranceInfo>& LreCorpus::test_info() const noexcept {
+  return splits_->test.info;
+}
 
 std::vector<std::size_t> LreCorpus::test_indices(DurationTier tier) const {
-  return tier_indices(test_, tier);
+  return tier_indices(splits_->test.info, tier);
 }
 
 std::vector<std::size_t> LreCorpus::dev_indices(DurationTier tier) const {
-  return tier_indices(dev_, tier);
+  return tier_indices(splits_->dev.info, tier);
 }
 
 }  // namespace phonolid::corpus

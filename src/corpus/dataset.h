@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "corpus/phone_inventory.h"
 #include "corpus/synthesizer.h"
 #include "util/options.h"
+#include "util/thread_pool.h"
 
 namespace phonolid::corpus {
 
@@ -69,12 +71,28 @@ struct CorpusConfig {
   static CorpusConfig preset(util::Scale scale, std::uint64_t seed);
 };
 
-/// Owns the inventory, the language specs and all generated datasets.
+/// What build() knows about an utterance before any audio exists.
+struct UtteranceInfo {
+  std::uint64_t id = 0;
+  std::int32_t language = -1;  // as Utterance::language
+  DurationTier tier = DurationTier::k30s;
+};
+
+/// Owns the inventory, the language specs and every split: each split's
+/// metadata from build(), its audio from its first audio access.
 class LreCorpus {
  public:
-  /// Generates everything deterministically from config.seed (parallel over
-  /// utterances; results independent of thread count).
-  static LreCorpus build(const CorpusConfig& config);
+  LreCorpus();
+  ~LreCorpus();
+  LreCorpus(LreCorpus&&) noexcept;
+  LreCorpus& operator=(LreCorpus&&) noexcept;
+
+  /// Builds the inventory, the languages and, for every split, each
+  /// utterance's id, language and tier plus how to render it.  Renders no
+  /// audio: that waits for the split's first audio access, on `pool`
+  /// (which must outlive the corpus).
+  static LreCorpus build(const CorpusConfig& config,
+                         util::ThreadPool& pool = util::ThreadPool::global());
 
   [[nodiscard]] const CorpusConfig& config() const noexcept { return config_; }
   [[nodiscard]] const PhoneInventory& inventory() const noexcept {
@@ -90,27 +108,50 @@ class LreCorpus {
     return targets_.size();
   }
 
+  // Audio accessors.  The first call for a split renders all of it, once,
+  // in parallel over utterances; every utterance draws from its own stream
+  // derive_stream(seed, salt * 0x10001 + i), so the bits do not depend on
+  // the pool width, on which split is touched first, or on which thread
+  // touches it.  Concurrent first calls from several threads are safe: one
+  // renders, the others block until it is done.  Re-entry is not: the
+  // render's parallel_for waits by running queued pool tasks, and if one of
+  // those first-accesses the split being rendered, the call_once re-enters
+  // on its own thread and deadlocks.  So no two pool tasks may be the first
+  // to access one split; Experiment::build trains front ends that share a
+  // native language in one stage for this reason.  Each rendered utterance
+  // adds 1 to the `corpus.rendered_utterances` counter.
+
   /// Phone-aligned audio in native language `n` for acoustic-model training.
-  [[nodiscard]] const Dataset& am_train(std::size_t native_index) const {
-    return am_train_.at(native_index);
-  }
-  [[nodiscard]] const Dataset& vsm_train() const noexcept { return vsm_train_; }
-  [[nodiscard]] const Dataset& dev() const noexcept { return dev_; }
-  [[nodiscard]] const Dataset& test() const noexcept { return test_; }
+  [[nodiscard]] const Dataset& am_train(std::size_t native_index) const;
+  [[nodiscard]] const Dataset& vsm_train() const;
+  [[nodiscard]] const Dataset& dev() const;
+  [[nodiscard]] const Dataset& test() const;
+
+  // Metadata accessors: never render.  Entry i describes utterance i of the
+  // split's audio accessor.
+  [[nodiscard]] const std::vector<UtteranceInfo>& vsm_train_info()
+      const noexcept;
+  [[nodiscard]] const std::vector<UtteranceInfo>& dev_info() const noexcept;
+  [[nodiscard]] const std::vector<UtteranceInfo>& test_info() const noexcept;
 
   /// Test utterances restricted to one duration tier (indices into test()).
   [[nodiscard]] std::vector<std::size_t> test_indices(DurationTier tier) const;
   [[nodiscard]] std::vector<std::size_t> dev_indices(DurationTier tier) const;
 
  private:
+  struct Split;
+  struct Splits;
+
+  const Dataset& rendered(Split& split) const;
+
   CorpusConfig config_;
   PhoneInventory inventory_;
   std::vector<LanguageSpec> targets_;
   std::vector<LanguageSpec> natives_;
-  std::vector<Dataset> am_train_;
-  Dataset vsm_train_;
-  Dataset dev_;
-  Dataset test_;
+  util::ThreadPool* pool_;
+  // Behind a pointer: a split's std::once_flag neither moves nor copies,
+  // and a corpus is move-assigned (Experiment::build).
+  std::unique_ptr<Splits> splits_;
 };
 
 }  // namespace phonolid::corpus

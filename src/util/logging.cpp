@@ -36,10 +36,13 @@ std::string format_log_timestamp(std::chrono::system_clock::time_point tp) {
   const std::time_t t = static_cast<std::time_t>(secs.count());
   std::tm utc{};
   gmtime_r(&t, &utc);
+  // strftime, then the milliseconds in [0, 999]: a single snprintf of six
+  // unbounded ints could overflow any fixed buffer (-Wformat-truncation).
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
-                utc.tm_min, utc.tm_sec, static_cast<int>(millis));
+  const std::size_t n =
+      std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%S", &utc);
+  std::snprintf(buf + n, sizeof(buf) - n, ".%03uZ",
+                static_cast<unsigned>(millis) % 1000u);
   return buf;
 }
 

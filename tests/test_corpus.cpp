@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <set>
+#include <thread>
 
 #include "corpus/dataset.h"
 #include "corpus/language_model.h"
 #include "corpus/phone_inventory.h"
 #include "corpus/synthesizer.h"
+#include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace phonolid::corpus {
 namespace {
@@ -218,6 +224,136 @@ TEST(Dataset, DeterministicAcrossBuilds) {
     ASSERT_EQ(a.test()[i].samples.size(), b.test()[i].samples.size());
     EXPECT_EQ(a.test()[i].samples, b.test()[i].samples) << "utterance " << i;
   }
+}
+
+// --- Lazy rendering ------------------------------------------------------
+
+CorpusConfig lazy_config() {
+  CorpusConfig cfg = CorpusConfig::preset(util::Scale::kQuick, 31);
+  cfg.family.num_languages = 3;
+  cfg.train_utts_per_language = 3;
+  cfg.dev_utts_per_language_per_tier = 1;
+  cfg.test_utts_per_language_per_tier = 2;
+  cfg.num_native_languages = 2;
+  cfg.am_train_utts_per_native = 3;
+  return cfg;
+}
+
+std::uint64_t rendered_so_far() {
+  return obs::Metrics::counter("corpus.rendered_utterances").value();
+}
+
+/// Every split's audio accessor, in the order build() lays the splits out.
+std::vector<std::function<const Dataset&()>> audio_accessors(
+    const LreCorpus& corpus) {
+  return {[&]() -> const Dataset& { return corpus.am_train(0); },
+          [&]() -> const Dataset& { return corpus.am_train(1); },
+          [&]() -> const Dataset& { return corpus.vsm_train(); },
+          [&]() -> const Dataset& { return corpus.dev(); },
+          [&]() -> const Dataset& { return corpus.test(); }};
+}
+
+/// Byte equality of two renders of one split: ids, labels, tiers, PCM and
+/// alignments.
+void expect_same_bytes(const Dataset& a, const Dataset& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].language, b[i].language);
+    EXPECT_EQ(a[i].tier, b[i].tier);
+    ASSERT_EQ(a[i].samples.size(), b[i].samples.size()) << "utterance " << i;
+    EXPECT_EQ(std::memcmp(a[i].samples.data(), b[i].samples.data(),
+                          a[i].samples.size() * sizeof(float)),
+              0)
+        << "utterance " << i;
+    ASSERT_EQ(a[i].alignment.size(), b[i].alignment.size());
+    for (std::size_t j = 0; j < a[i].alignment.size(); ++j) {
+      EXPECT_EQ(a[i].alignment[j].phone, b[i].alignment[j].phone);
+      EXPECT_EQ(a[i].alignment[j].start_sample, b[i].alignment[j].start_sample);
+      EXPECT_EQ(a[i].alignment[j].end_sample, b[i].alignment[j].end_sample);
+    }
+  }
+}
+
+TEST(LazyCorpus, BuildRendersNothingAndMetadataMatchesTheAudio) {
+  const CorpusConfig cfg = lazy_config();
+  const std::uint64_t before = rendered_so_far();
+  const auto corpus = LreCorpus::build(cfg);
+  EXPECT_EQ(rendered_so_far(), before);
+
+  // Metadata accessors never render.
+  EXPECT_EQ(corpus.vsm_train_info().size(), 9u);
+  EXPECT_EQ(corpus.dev_info().size(), 3u * kNumTiers);
+  EXPECT_EQ(corpus.test_info().size(), 3u * 2u * kNumTiers);
+  EXPECT_EQ(corpus.test_indices(DurationTier::k3s).size(), 6u);
+  EXPECT_EQ(corpus.dev_indices(DurationTier::k10s).size(), 3u);
+  EXPECT_EQ(rendered_so_far(), before);
+
+  // Each audio accessor renders its split once, whose utterances carry the
+  // metadata build() announced.
+  EXPECT_EQ(corpus.test().size(), corpus.test_info().size());
+  EXPECT_EQ(rendered_so_far(), before + corpus.test_info().size());
+  const auto check = [](const Dataset& audio,
+                        const std::vector<UtteranceInfo>& info) {
+    ASSERT_EQ(audio.size(), info.size());
+    for (std::size_t i = 0; i < info.size(); ++i) {
+      EXPECT_EQ(audio[i].id, info[i].id);
+      EXPECT_EQ(audio[i].language, info[i].language);
+      EXPECT_EQ(audio[i].tier, info[i].tier);
+    }
+  };
+  check(corpus.vsm_train(), corpus.vsm_train_info());
+  check(corpus.dev(), corpus.dev_info());
+  check(corpus.test(), corpus.test_info());
+  EXPECT_EQ(rendered_so_far(),
+            before + 9u + 3u * kNumTiers + 3u * 2u * kNumTiers);
+}
+
+TEST(LazyCorpus, SameBytesWhicheverSplitIsFirstAndAtPoolWidths1And4) {
+  const CorpusConfig cfg = lazy_config();
+  util::ThreadPool narrow(1);
+  util::ThreadPool wide(4);
+  const auto forward = LreCorpus::build(cfg, narrow);
+  const auto backward = LreCorpus::build(cfg, wide);
+  const auto wide_forward = LreCorpus::build(cfg, wide);
+
+  const auto fwd = audio_accessors(forward);
+  const auto bwd = audio_accessors(backward);
+  const auto wfwd = audio_accessors(wide_forward);
+  for (const auto& touch : fwd) (void)touch();
+  for (auto it = bwd.rbegin(); it != bwd.rend(); ++it) (void)(*it)();
+  for (const auto& touch : wfwd) (void)touch();
+  for (std::size_t split = 0; split < fwd.size(); ++split) {
+    SCOPED_TRACE("split " + std::to_string(split));
+    expect_same_bytes(fwd[split](), bwd[split]());
+    expect_same_bytes(fwd[split](), wfwd[split]());
+  }
+}
+
+TEST(LazyCorpus, ConcurrentFirstTouchRendersOnce) {
+  const CorpusConfig cfg = lazy_config();
+  util::ThreadPool pool(4);
+  const auto corpus = LreCorpus::build(cfg, pool);
+  const std::uint64_t before = rendered_so_far();
+
+  constexpr std::size_t kThreads = 4;
+  std::atomic<bool> go{false};
+  std::vector<const Dataset*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      seen[t] = &corpus.dev();
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(rendered_so_far() - before, corpus.dev_info().size());
+  for (const Dataset* d : seen) EXPECT_EQ(d, seen.front());
+  util::ThreadPool narrow(1);
+  const auto reference = LreCorpus::build(cfg, narrow);
+  expect_same_bytes(*seen.front(), reference.dev());
 }
 
 }  // namespace

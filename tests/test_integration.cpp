@@ -3,9 +3,17 @@
 // supervector -> SVM -> votes -> DBA -> fusion -> metrics.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <string>
 
 #include "core/experiment.h"
+#include "core/stage_cache.h"
+#include "obs/metrics.h"
+#include "pipeline/artifact_store.h"
 
 namespace phonolid::core {
 namespace {
@@ -186,6 +194,86 @@ TEST_F(IntegrationTest, SubsystemDecodeProducesSoundLattice) {
   EXPECT_FALSE(lattice.best_path().empty());
   const auto occ = lattice.frame_occupancy();
   for (double o : occ) EXPECT_NEAR(o, 1.0, 1e-3);
+}
+
+// --- Lazy corpus: a build renders only the audio its missing stages read ---
+
+/// One artifact store per test process (ctest runs every test in its own
+/// process, possibly in parallel), filled by a cold build in
+/// SetUpTestSuite; each test then evicts what it needs and counts the
+/// utterances its own build renders.
+class LazyCorpusTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    config_ = new ExperimentConfig(micro_config());
+    const std::string dir =
+        "phonolid_lazy_corpus_" + std::to_string(::getpid());
+    config_->cache_dir =
+        (std::filesystem::path(::testing::TempDir()) / dir).string();
+    std::filesystem::remove_all(config_->cache_dir);
+    cold_renders_ = renders_in_build();
+  }
+  static void TearDownTestSuite() {
+    std::filesystem::remove_all(config_->cache_dir);
+    delete config_;
+    config_ = nullptr;
+  }
+
+  static std::uint64_t renders_in_build() {
+    const obs::Counter& rendered =
+        obs::Metrics::counter("corpus.rendered_utterances");
+    const std::uint64_t before = rendered.value();
+    (void)Experiment::build(*config_);
+    return rendered.value() - before;
+  }
+
+  /// Removes front end s's artifact ("frontend") or the supervectors
+  /// artifact keyed by it, keyed as Experiment::build keys them.
+  static void evict(std::size_t s, bool supervectors) {
+    FrontEndSpec spec = config_->frontends[s];
+    spec.use_lattice_counts = config_->use_lattice_counts;
+    const pipeline::StageKey fe_key = frontend_stage_key(
+        corpus_stage_key(config_->corpus, config_->scale, config_->seed), spec,
+        config_->seed);
+    const pipeline::ArtifactStore store(config_->cache_dir);
+    const std::string path = store.path_for(
+        supervectors ? supervectors_stage_key(fe_key) : fe_key);
+    ASSERT_TRUE(std::filesystem::remove(path)) << path;
+  }
+
+  static std::size_t split_sizes() {
+    const corpus::CorpusConfig& c = config_->corpus;
+    return c.family.num_languages *
+           (c.train_utts_per_language +
+            corpus::kNumTiers * (c.dev_utts_per_language_per_tier +
+                                 c.test_utts_per_language_per_tier));
+  }
+
+  static ExperimentConfig* config_;
+  static std::uint64_t cold_renders_;
+};
+
+ExperimentConfig* LazyCorpusTest::config_ = nullptr;
+std::uint64_t LazyCorpusTest::cold_renders_ = 0;
+
+TEST_F(LazyCorpusTest, ColdBuildRendersEveryUtteranceOnce) {
+  const corpus::CorpusConfig& c = config_->corpus;
+  EXPECT_EQ(cold_renders_, c.num_native_languages * c.am_train_utts_per_native +
+                               split_sizes());
+}
+
+TEST_F(LazyCorpusTest, WarmBuildRendersNothing) {
+  EXPECT_EQ(renders_in_build(), 0u);
+}
+
+TEST_F(LazyCorpusTest, FrontEndMissRendersOnlyItsAmTrainSet) {
+  evict(1, /*supervectors=*/false);
+  EXPECT_EQ(renders_in_build(), config_->corpus.am_train_utts_per_native);
+}
+
+TEST_F(LazyCorpusTest, SupervectorMissRendersVsmTrainDevAndTest) {
+  evict(0, /*supervectors=*/true);
+  EXPECT_EQ(renders_in_build(), split_sizes());
 }
 
 }  // namespace

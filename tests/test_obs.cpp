@@ -524,7 +524,9 @@ TEST(FlightRecorder, CrossThreadEventsKeepPerThreadIdentityAndOrder) {
   std::uint32_t last_tid = 0;
   bool first = true;
   for (const auto& t : snap) {
-    if (!first) EXPECT_GT(t.tid, last_tid);  // sorted, unique tids
+    if (!first) {
+      EXPECT_GT(t.tid, last_tid);  // sorted, unique tids
+    }
     last_tid = t.tid;
     first = false;
     if (t.name == "worker-a" || t.name == "worker-b") {
@@ -558,7 +560,9 @@ void check_trace_invariants(const obs::Json& doc) {
     if (ph == "M") continue;  // metadata carries no timestamp ordering
     const double ts = e.find("ts")->as_double();
     const auto it = last_ts.find(tid);
-    if (it != last_ts.end()) EXPECT_GE(ts, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(ts, it->second);
+    }
     last_ts[tid] = ts;
     if (ph == "B") {
       stacks[tid].push_back(e.find("name")->as_string());

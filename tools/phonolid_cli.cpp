@@ -280,9 +280,9 @@ int cmd_corpus(const ParsedFlags& flags) {
   for (const auto& l : corpus.target_languages()) std::printf(" %s", l.name().c_str());
   std::printf(" )\n");
   std::printf("native languages: %zu\n", corpus.native_languages().size());
-  std::printf("vsm train       : %zu utterances\n", corpus.vsm_train().size());
-  std::printf("dev             : %zu utterances\n", corpus.dev().size());
-  std::printf("test            : %zu utterances\n", corpus.test().size());
+  std::printf("vsm train       : %zu utterances\n", corpus.vsm_train_info().size());
+  std::printf("dev             : %zu utterances\n", corpus.dev_info().size());
+  std::printf("test            : %zu utterances\n", corpus.test_info().size());
   obs::Json tiers_json = obs::Json::object();
   for (std::size_t t = 0; t < corpus::kNumTiers; ++t) {
     const auto tier = static_cast<corpus::DurationTier>(t);
@@ -318,9 +318,9 @@ int cmd_corpus(const ParsedFlags& flags) {
   results["phone_inventory"] = obs::Json(corpus.inventory().size());
   results["target_languages"] = obs::Json(corpus.num_target_languages());
   results["native_languages"] = obs::Json(corpus.native_languages().size());
-  results["vsm_train_utterances"] = obs::Json(corpus.vsm_train().size());
-  results["dev_utterances"] = obs::Json(corpus.dev().size());
-  results["test_utterances"] = obs::Json(corpus.test().size());
+  results["vsm_train_utterances"] = obs::Json(corpus.vsm_train_info().size());
+  results["dev_utterances"] = obs::Json(corpus.dev_info().size());
+  results["test_utterances"] = obs::Json(corpus.test_info().size());
   results["test_tiers"] = std::move(tiers_json);
   results["bigram_distance_min"] = obs::Json(min_dist);
   results["bigram_distance_max"] = obs::Json(max_dist);
@@ -941,7 +941,8 @@ int cmd_freeze(const ParsedFlags& flags) {
   std::vector<core::FrozenHead> heads;
   heads.reserve(models.size());
   for (std::size_t h = 0; h < models.size(); ++h) {
-    heads.push_back(core::FrozenHead{h % num_subs, std::move(models[h])});
+    heads.push_back(core::FrozenHead{static_cast<std::uint32_t>(h % num_subs),
+                                     std::move(models[h])});
   }
   core::FrozenModel::write_bundle(out_dir, *exp, heads, fusion);
   std::printf("froze %zu subsystems, %zu heads (mode %s, V=%zu) -> %s\n",
